@@ -118,15 +118,9 @@ func Run(cfg Config, scheduler string, params Params, gen Generator, seed int64)
 }
 
 // RunStats reports how the engine itself executed a run (as opposed to what
-// the simulated machine did): calendar events dispatched, the safe-wave
-// statistics of the sharded-calendar engine (zeros on the merged-calendar
-// path), and each DPN's busy fraction of the virtual span — the per-shard
-// utilization that makes lookahead starvation visible.
+// the simulated machine did): the calendar events it dispatched.
 type RunStats struct {
-	Events           uint64
-	Waves            uint64
-	WaveMembers      uint64
-	ShardUtilization []float64
+	Events uint64
 }
 
 // RunWithStats is Run, additionally returning the engine's execution stats.
@@ -140,11 +134,7 @@ func RunWithStats(cfg Config, scheduler string, params Params, gen Generator, se
 		return Summary{}, RunStats{}, err
 	}
 	sum := m.Run()
-	var st RunStats
-	st.Events = m.Engine().Executed()
-	st.Waves, st.WaveMembers = m.WaveStats()
-	st.ShardUtilization = m.ShardUtilization(nil)
-	return sum, st, nil
+	return sum, RunStats{Events: m.Engine().Executed()}, nil
 }
 
 // RunChecked is Run with conflict-serializability verification: it records

@@ -88,29 +88,15 @@ func BenchmarkTable5(b *testing.B) { benchArtifact(b, "table5") }
 // Each run also reports events/op, the calendar events the engine dispatched
 // (Engine.Executed): the fast-forward DPN coalesces a cohort's quanta into
 // one completion event, and this metric tracks that win alongside ns/op in
-// BENCH_core.json. Set BENCH_QUANTUM_STEPPED=1 to run the quantum-per-event
-// oracle instead (Config.QuantumStepped) — that is how the "pre" snapshot of
-// BENCH_core.json is produced.
+// BENCH_core.json (the "pre" snapshot there was recorded on the
+// quantum-per-event DPN oracle, which dispatches one event per quantum).
 //
-// events/sec/core is the scheduling-normalized throughput figure tracked by
-// the benchjson -compare gate: dispatched events per wall-clock second,
-// divided by the configured worker budget (max(1, ParallelRun)) — NOT
-// clamped to the host's GOMAXPROCS — so a parallel run is held to beating
-// the sequential engine per core it asked for and the figure means the same
-// thing on every host. benchjson records the run's GOMAXPROCS in the
-// snapshot and skips the per-core gate when two snapshots' core counts
-// differ. Set BENCH_PARALLEL_RUN=N to run the sharded-calendar engine
-// (Config.ParallelRun) instead of the merged one.
-
-// benchParallelRun reads BENCH_PARALLEL_RUN (0, the merged calendar, when
-// unset or malformed).
-func benchParallelRun() int {
-	n, err := strconv.Atoi(os.Getenv("BENCH_PARALLEL_RUN"))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
+// events/sec/core is the throughput figure tracked by the benchjson -compare
+// gate: dispatched events per wall-clock second. A run is one calendar on
+// one goroutine, so the per-core figure is the plain rate; the name is kept
+// so snapshots stay comparable. benchjson records the run's GOMAXPROCS in
+// the snapshot and skips the per-core gate when two snapshots' core counts
+// differ.
 
 func benchOneRun(b *testing.B, scheduler string, lambda float64) {
 	b.Helper()
@@ -119,10 +105,6 @@ func benchOneRun(b *testing.B, scheduler string, lambda float64) {
 	cfg.DD = 16
 	cfg.ArrivalRate = lambda
 	cfg.Duration = 200_000 * Millisecond
-	cfg.QuantumStepped = os.Getenv("BENCH_QUANTUM_STEPPED") == "1"
-	if !cfg.QuantumStepped {
-		cfg.ParallelRun = benchParallelRun()
-	}
 	gen := NewBatchScanWorkload(16, 32)
 	b.ReportAllocs()
 	var events uint64
@@ -141,9 +123,8 @@ func benchOneRun(b *testing.B, scheduler string, lambda float64) {
 		events += m.Engine().Executed()
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	cores := max(1, cfg.ParallelRun)
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(events)/secs/float64(cores), "events/sec/core")
+		b.ReportMetric(float64(events)/secs, "events/sec/core")
 	}
 }
 

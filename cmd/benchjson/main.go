@@ -42,11 +42,10 @@ type benchResult struct {
 	// dispatched per benchmark op (b.ReportMetric(..., "events/op")) —
 	// recorded so event-coalescing wins are tracked next to wall time.
 	EventsPerOp float64 `json:"events_per_op,omitempty"`
-	// EventsPerSecPerCore is dispatched events per wall-clock second per
-	// core the run may occupy (b.ReportMetric(..., "events/sec/core")): the
-	// scheduling-normalized throughput figure, so a ParallelRun engine is
-	// held to beating the sequential one per core spent. Higher is better;
-	// -compare treats a drop beyond -max-regress as a regression.
+	// EventsPerSecPerCore is dispatched events per wall-clock second
+	// (b.ReportMetric(..., "events/sec/core")); a simulated run occupies one
+	// core. Higher is better; -compare treats a drop beyond -max-regress as
+	// a regression.
 	EventsPerSecPerCore float64 `json:"events_per_sec_per_core,omitempty"`
 	// ObsOverhead is the instrumented/bare wall-time ratio reported by
 	// BenchmarkObsOverhead (b.ReportMetric(..., "obs_overhead")): 1.0 means

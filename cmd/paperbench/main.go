@@ -31,11 +31,10 @@ func main() {
 		reps      = flag.Int("reps", 1, "replications per point")
 		seed      = flag.Int64("seed", 1, "base random seed")
 		tol       = flag.Float64("tol", 0, "bisection tolerance on lambda (0 = 0.01)")
-		stepped   = flag.Bool("stepped", false, "use the quantum-per-event DPN oracle (same numbers, slower; timing comparisons)")
 	)
 	flag.Parse()
 
-	o := batchsched.Options{Reps: *reps, Seed: *seed, SolverTol: *tol, QuantumStepped: *stepped}
+	o := batchsched.Options{Reps: *reps, Seed: *seed, SolverTol: *tol}
 	if *duration > 0 {
 		o.Duration = batchsched.Time(*duration * float64(batchsched.Second))
 	}

@@ -60,13 +60,6 @@ type Point struct {
 	RestartDelay sim.Time
 	// Faults configures the fault injector (zero value = failure-free).
 	Faults fault.Config
-	// QuantumStepped selects the quantum-per-event DPN oracle instead of
-	// the fast-forward engine (identical results, more calendar events).
-	QuantumStepped bool
-	// ParallelRun selects the sharded-calendar PDES engine (results are
-	// byte-identical to the merged calendar): 0 = merged, 1 = sharded on
-	// the caller's goroutine, N > 1 = N wave-prepare workers per run.
-	ParallelRun int
 	// Service switches the run into streaming-admission mode
 	// (internal/admit): arrivals flow through the bounded admission queue
 	// and the epoch loop instead of the closed paper loop. nil = closed.
@@ -130,8 +123,6 @@ func runObserved(p Point, seed int64, ob *obs.Observer) metrics.Summary {
 	}
 	cfg.RestartDelay = p.RestartDelay
 	cfg.Faults = p.Faults
-	cfg.QuantumStepped = p.QuantumStepped
-	cfg.ParallelRun = p.ParallelRun
 	if p.Service != nil {
 		pol := *p.Service // the machine must not share policy state across replications
 		cfg.Service = &pol

@@ -8,7 +8,7 @@ import (
 )
 
 // TestDPNSteadyStateAllocFree pins the allocation audit at the node layer:
-// a warmed sharded DPN cycling pooled cohorts — completion, a payload-event
+// a warmed DPN cycling pooled cohorts — completion, a payload-event
 // round trip standing in for the CN hop, redelivery — must run without a
 // single allocation per event. Everything reusable is created at setup:
 // cohorts, their done closures, and the prebound redelivery handler.
@@ -16,8 +16,6 @@ func TestDPNSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	met := metrics.NewCollector(1, 0)
 	d := newDPN(0, eng, met)
-	eng.SetShards(1)
-	d.sharded = true
 
 	const residents = 6
 	cohorts := make([]*cohort, residents)
@@ -41,7 +39,7 @@ func TestDPNSteadyStateAllocFree(t *testing.T) {
 		eng.ScheduleAt(sim.Time(i)*sim.Millisecond, func(sim.Time) { d.add(c) })
 	}
 
-	// Warm the free lists, the ring, and the shard slot.
+	// Warm the free lists, the ring, and the calendar's capacity.
 	horizon := sim.Time(0)
 	step := func() {
 		horizon += 100 * sim.Millisecond

@@ -67,27 +67,9 @@ type Config struct {
 	// cohort to completion (FCFS) instead of the paper's round-robin
 	// interleave with a 1/DD-object quantum.
 	RunToCompletion bool
-	// QuantumStepped selects the quantum-per-event DPN service loop instead
-	// of the default event-coalesced fast-forward engine. The two are
-	// semantically identical (the stepped loop is kept as the differential
-	// oracle; see DESIGN.md §11) — stepped runs just dispatch one calendar
-	// event per round-robin quantum and are proportionally slower.
-	QuantumStepped bool
 	// NoWakeOnGrant is an ablation knob: policy-delayed lock requests are
 	// retried only after commits, not after every grant.
 	NoWakeOnGrant bool
-	// ParallelRun enables the sharded-calendar PDES engine: each DPN's
-	// coalesced completion event lives on a per-node sub-calendar, and runs
-	// of same-instant completions that sort before every control-node event
-	// ("safe waves", DESIGN.md §13) have their ring replays prepared by
-	// ParallelRun worker goroutines before being committed in exact
-	// sequential order. 0 keeps the single merged calendar; 1 shards the
-	// calendar but prepares waves inline (no goroutines — this is the fast
-	// single-core configuration); N > 1 uses N workers. Traces and summaries
-	// are byte-identical across all settings. Incompatible with
-	// QuantumStepped (the stepped oracle books one event per quantum and is
-	// deliberately left on the merged calendar).
-	ParallelRun int
 	// RestartDelay holds an aborted transaction (optimistic validation
 	// failure, 2PL deadlock victim, or fault-induced abort) back for this
 	// long before it re-executes — the paper's "aborted requests are
@@ -146,10 +128,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: MPL must be >= 0, got %d", c.MPL)
 	case c.RestartDelay < 0:
 		return fmt.Errorf("machine: RestartDelay must be >= 0, got %v", c.RestartDelay)
-	case c.ParallelRun < 0:
-		return fmt.Errorf("machine: ParallelRun must be >= 0, got %d", c.ParallelRun)
-	case c.ParallelRun > 0 && c.QuantumStepped:
-		return fmt.Errorf("machine: ParallelRun requires the fast-forward DPN engine (QuantumStepped must be off)")
 	}
 	if c.Service != nil {
 		if err := c.Service.Validate(); err != nil {

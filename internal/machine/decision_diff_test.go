@@ -18,9 +18,9 @@ import (
 // DESIGN.md §17) must be observationally identical to the sequential
 // scheduler: same grant/block/delay outcomes, same CPU charges, same audit
 // records, same event traces — whether candidate scoring runs inline
-// (DecisionWorkers 0/1) or fanned over a worker pool (>1). These tests
-// mirror the PDES differential suite one layer down: the oracle is the
-// DecisionWorkers=0 scheduler the rest of the repo's suite already proves.
+// (DecisionWorkers 0/1) or fanned over a worker pool (>1). The oracle is
+// the DecisionWorkers=0 scheduler the rest of the repo's suite already
+// proves.
 
 // decisionDiffRun runs one full machine at the given decision fan-out and
 // returns the summary plus the serialized event trace and scheduler audit.
@@ -83,7 +83,7 @@ func TestDecisionDiffGrid(t *testing.T) {
 				cfg.ArrivalRate = 0.6
 				cfg.Duration = 120_000 * sim.Millisecond
 				if withFaults {
-					cfg.Faults = pdesDiffFaults
+					cfg.Faults = diffFaults
 				}
 				label := name
 				if withFaults {
@@ -115,7 +115,7 @@ func TestDecisionDiffRandom(t *testing.T) {
 		cfg.ArrivalRate = 0.3 + 0.15*float64(g.Intn(5))
 		cfg.Duration = 60_000 * sim.Millisecond
 		if g.Intn(2) == 0 {
-			cfg.Faults = pdesDiffFaults
+			cfg.Faults = diffFaults
 		}
 		decisionDiffCompare(t, name, name, cfg, seed, nil)
 	}

@@ -3,10 +3,18 @@ package machine
 import "batchsched/internal/sim"
 
 // The quantum-stepped service engine: one calendar event per round-robin
-// service quantum. This is the original DPN loop, kept behind
-// Config.QuantumStepped as the differential oracle for the fast-forward
-// engine (dpn_ff.go) — the two must produce byte-identical completion
-// times, busy accounting and event ordering.
+// service quantum. This is the original DPN loop, kept as the differential
+// oracle for the fast-forward engine (dpn_ff.go) — the two must produce
+// byte-identical completion times, busy accounting and event ordering.
+
+// useSteppedEngine switches every node of a freshly built machine to the
+// quantum-stepped engine. It is the differential tests' hook; call it after
+// New and before Run.
+func (m *Machine) useSteppedEngine() {
+	for _, d := range m.dpns {
+		d.stepped = true
+	}
+}
 
 // quantumDone (pre-bound as d.onQuantum) fires when the quantum in progress
 // completes: charge its busy time, apply it to the cohort at the cursor,

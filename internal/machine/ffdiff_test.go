@@ -125,13 +125,23 @@ func TestFFDiffRandomSchedules(t *testing.T) {
 	}
 }
 
+// diffFaults is the full fault cocktail (crashes, stragglers, message loss
+// with timeout-and-retry) used across the differential grids.
+var diffFaults = fault.Config{
+	MTBF: 80 * sim.Second, MTTR: 5 * sim.Second,
+	StragglerMTBF: 150 * sim.Second, StragglerDuration: 10 * sim.Second, StragglerFactor: 3,
+	MsgLoss: 0.03, MsgTimeout: 5 * sim.Second, MsgRetries: 2,
+}
+
 // ffDiffMachine builds one machine for the differential grid.
 func ffDiffMachine(t *testing.T, name string, cfg Config, stepped bool, seed int64) *Machine {
 	t.Helper()
-	cfg.QuantumStepped = stepped
 	m, err := New(cfg, sched.MustNew(name, sched.DefaultParams()), workload.NewExp1(16), sim.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stepped {
+		m.useSteppedEngine()
 	}
 	return m
 }
@@ -139,11 +149,6 @@ func ffDiffMachine(t *testing.T, name string, cfg Config, stepped bool, seed int
 // TestFFDiffSummaries compares end-of-run summaries for every scheduler over
 // a DD ladder, failure-free and with the full fault cocktail.
 func TestFFDiffSummaries(t *testing.T) {
-	faults := fault.Config{
-		MTBF: 80 * sim.Second, MTTR: 5 * sim.Second,
-		StragglerMTBF: 150 * sim.Second, StragglerDuration: 10 * sim.Second, StragglerFactor: 3,
-		MsgLoss: 0.03, MsgTimeout: 5 * sim.Second, MsgRetries: 2,
-	}
 	for _, name := range []string{"NODC", "ASL", "GOW", "LOW", "C2PL", "OPT"} {
 		for _, dd := range []int{1, 2, 4, 16} {
 			for _, withFaults := range []bool{false, true} {
@@ -153,7 +158,7 @@ func TestFFDiffSummaries(t *testing.T) {
 				cfg.ArrivalRate = 0.6
 				cfg.Duration = 200_000 * sim.Millisecond
 				if withFaults {
-					cfg.Faults = faults
+					cfg.Faults = diffFaults
 				}
 				ff := ffDiffMachine(t, name, cfg, false, 7).Run()
 				st := ffDiffMachine(t, name, cfg, true, 7).Run()
@@ -171,11 +176,6 @@ func TestFFDiffSummaries(t *testing.T) {
 // event-ordering difference that happens not to move the summary still
 // fails.
 func TestFFDiffTraces(t *testing.T) {
-	faults := fault.Config{
-		MTBF: 80 * sim.Second, MTTR: 5 * sim.Second,
-		StragglerMTBF: 150 * sim.Second, StragglerDuration: 10 * sim.Second, StragglerFactor: 3,
-		MsgLoss: 0.03, MsgTimeout: 5 * sim.Second, MsgRetries: 2,
-	}
 	run := func(name string, dd int, withFaults, stepped bool) []byte {
 		cfg := DefaultConfig()
 		cfg.NumNodes = 16
@@ -183,7 +183,7 @@ func TestFFDiffTraces(t *testing.T) {
 		cfg.ArrivalRate = 0.6
 		cfg.Duration = 200_000 * sim.Millisecond
 		if withFaults {
-			cfg.Faults = faults
+			cfg.Faults = diffFaults
 		}
 		m := ffDiffMachine(t, name, cfg, stepped, 11)
 		var buf bytes.Buffer
@@ -218,10 +218,12 @@ func TestFFDiffBatchScan(t *testing.T) {
 		cfg.DD = 16
 		cfg.ArrivalRate = 0.15
 		cfg.Duration = 200_000 * sim.Millisecond
-		cfg.QuantumStepped = stepped
 		m, err := New(cfg, sched.MustNew("GOW", sched.DefaultParams()), workload.NewBatchScan(16, 32), sim.NewRNG(3))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if stepped {
+			m.useSteppedEngine()
 		}
 		var buf bytes.Buffer
 		m.SetObserver(trace.NewWriter(&buf))

@@ -118,21 +118,11 @@ type Machine struct {
 	admitSpare   []*exec
 	delayedSpare []*exec
 
-	// Sharded-PDES state (Config.ParallelRun; parallel.go): the safe-wave
-	// run loop's member buffer, the prepare-phase lane of the shared worker
-	// pool, and the wave statistics surfaced by WaveStats for -progress
-	// output. workPool is the one pool budgeted for both wave preparation
-	// and scheduler decision fan-out (DESIGN.md §17); its goroutines start
-	// lazily, so machines that never hit a parallel phase pay nothing.
-	shardedRun      bool
-	waveWorkers     int
-	decisionWorkers int
-	waveBuf         []*sim.Event
-	workPool        *pool.Pool
-	waveLane        *pool.Lane
-	waveRun         waveRun
-	waves           uint64
-	waveMembers     uint64
+	// workPool backs the scheduler's decision fan-out when it asks for more
+	// than one worker (sched.DecisionParallel; DESIGN.md §17). Its
+	// goroutines start lazily on the first parallel decision, and Run and
+	// RunClosed stop it on exit.
+	workPool *pool.Pool
 
 	// Service-mode batch-admission buffers (service.go): fillWindow pops the
 	// epoch's batch here so AdmitScreener schedulers can prescreen it.
@@ -205,16 +195,7 @@ func New(cfg Config, s sched.Scheduler, gen Generator, rng *sim.RNG) (*Machine, 
 	m.dpns = make([]*dpn, cfg.NumNodes)
 	for i := range m.dpns {
 		m.dpns[i] = newDPN(i, eng, met)
-		m.dpns[i].stepped = cfg.QuantumStepped
 		m.dpns[i].complete = m.cohortFinished
-	}
-	if cfg.ParallelRun > 0 {
-		m.shardedRun = true
-		m.waveWorkers = cfg.ParallelRun
-		eng.SetShards(cfg.NumNodes)
-		for _, d := range m.dpns {
-			d.sharded = true
-		}
 	}
 	m.onArrival = func(sim.Time) {
 		steps := m.gen.Steps(m.workloadRNG)
@@ -235,20 +216,8 @@ func New(cfg Config, s sched.Scheduler, gen Generator, rng *sim.RNG) (*Machine, 
 		la.SetLoadProbe(m.fileLoad)
 	}
 	if dp, ok := s.(sched.DecisionParallel); ok && dp.DecisionWorkers() > 1 {
-		m.decisionWorkers = dp.DecisionWorkers()
-	}
-	// One pool budgets both parallel phases: wave preparation and scheduler
-	// decision fan-out run from disjoint regions of the event loop (a wave
-	// never overlaps a CN decision), so they share workers instead of
-	// doubling the goroutine footprint.
-	if budget := max(m.waveWorkers, m.decisionWorkers); budget > 1 {
-		m.workPool = pool.New("machine", budget)
-		if m.waveWorkers > 1 {
-			m.waveLane = m.workPool.Lane("wave-prepare")
-		}
-		if m.decisionWorkers > 1 {
-			s.(sched.DecisionParallel).SetDecisionLane(m.workPool.Lane("decision"))
-		}
+		m.workPool = pool.New("machine", dp.DecisionWorkers())
+		dp.SetDecisionLane(m.workPool.Lane("decision"))
 	}
 	if err := m.wireFaults(rng); err != nil {
 		return nil, err
@@ -415,10 +384,7 @@ func (m *Machine) Run() metrics.Summary {
 		m.eng.Schedule(m.svc.Policy().Epoch, m.onEpoch)
 	}
 	m.ob.StartSampling(m.eng)
-	if m.shardedRun {
-		defer m.stopPool()
-		m.runWaves(m.cfg.Duration)
-	}
+	defer m.stopPool()
 	m.eng.RunUntil(m.cfg.Duration)
 	// Fast-forward nodes may still hold an epoch tail whose quantum events
 	// the stepped engine would have fired at (or before) the horizon; replay
@@ -442,21 +408,7 @@ func (m *Machine) RunClosed(horizon sim.Time) metrics.Summary {
 		m.inj.Start()
 	}
 	m.ob.StartSampling(m.eng)
-	if m.shardedRun {
-		defer m.stopPool()
-		// Wave members are DPN completions and never change InFlight, so
-		// testing it between waves tests it between every event.
-		for m.InFlight() > 0 {
-			m.waveBuf = m.eng.CollectWave(m.waveBuf, horizon)
-			if len(m.waveBuf) > 0 {
-				m.dispatchWave(m.waveBuf)
-				continue
-			}
-			if !m.eng.Step(horizon) {
-				break
-			}
-		}
-	}
+	defer m.stopPool()
 	for m.InFlight() > 0 && m.eng.Step(horizon) {
 	}
 	now := m.eng.Now()
@@ -465,6 +417,14 @@ func (m *Machine) RunClosed(horizon sim.Time) metrics.Summary {
 	}
 	m.ob.Finish(now)
 	return m.met.Summarize(now)
+}
+
+// stopPool shuts the decision workers down, so a finished run leaves no
+// goroutines behind.
+func (m *Machine) stopPool() {
+	if m.workPool != nil {
+		m.workPool.Stop()
+	}
 }
 
 func (m *Machine) scheduleNextArrival() {

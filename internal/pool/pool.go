@@ -1,19 +1,18 @@
-// Package pool provides the persistent worker pool shared by the machine's
-// wave-prepare phase and the scheduler decision engine (DESIGN.md §13, §17).
-// One pool owns a fixed set of goroutines; callers hand it batches of
-// independent tasks through a Lane, which tags the workers with
-// runtime/pprof labels (pool name, lane name, worker index) so -cpuprofile
-// output attributes time to the right subsystem.
+// Package pool provides the persistent worker pool behind the scheduler
+// decision engine's candidate fan-out (DESIGN.md §17). One pool owns a fixed
+// set of goroutines; callers hand it batches of independent tasks through a
+// Lane, which tags the workers with runtime/pprof labels (pool name, lane
+// name, worker index) so -cpuprofile output attributes time to the right
+// subsystem.
 //
-// The discipline is the PR 7 wave-prepare one: work is published to the
-// workers up front, members are claimed with an atomic cursor, and every
-// result is written by task index so reductions are deterministic no matter
-// which worker ran which task. Run blocks until the whole batch is done; the
-// kick channel gives happens-before for the coordinator's writes and the
-// WaitGroup publishes the workers' writes back. Batches with one task (or a
-// one-worker cap, or a stopped pool) run inline on the caller as worker 0,
-// so the sequential path needs no special casing and a stopped pool degrades
-// gracefully instead of deadlocking.
+// Work is published to the workers up front, tasks are claimed with an
+// atomic cursor, and every result is written by task index so reductions
+// are deterministic no matter which worker ran which task. Run blocks until
+// the whole batch is done; the kick channel gives happens-before for the
+// coordinator's writes and the WaitGroup publishes the workers' writes
+// back. Batches with one task (or a one-worker cap, or a stopped pool) run
+// inline on the caller as worker 0, so the sequential path needs no special
+// casing and a stopped pool degrades gracefully instead of deadlocking.
 //
 // Run performs no allocations in steady state: Runner is an interface so
 // callers pass a pointer to a long-lived struct rather than a closure, and

@@ -12,9 +12,7 @@ type eventHeap struct {
 
 func (h *eventHeap) Len() int { return len(h.items) }
 
-// eventLess is the calendar's total dispatch order (time, prio, tie, seq),
-// shared by the main heap, the per-shard slot heap and the safe-wave merge —
-// one comparator, so sharding can never reorder a dispatch.
+// eventLess is the calendar's total dispatch order (time, prio, tie, seq).
 func eventLess(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -59,23 +57,6 @@ func (h *eventHeap) pop() *Event {
 	}
 	top.index = -1
 	return top
-}
-
-// removeAt unlinks the event at heap position i in O(log n) without leaving
-// a tombstone (the shard calendar replaces bookings in place instead of
-// cancel-and-repushing).
-func (h *eventHeap) removeAt(i int) *Event {
-	ev := h.items[i]
-	last := len(h.items) - 1
-	h.swap(i, last)
-	h.items[last] = nil
-	h.items = h.items[:last]
-	if i < last {
-		h.down(i)
-		h.up(i)
-	}
-	ev.index = -1
-	return ev
 }
 
 // reheap restores the heap property over the whole slice (after the engine

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -35,12 +34,6 @@ type Progress struct {
 type Options struct {
 	// Workers bounds the pool (<= 0 = GOMAXPROCS).
 	Workers int
-	// RunWorkers declares the intra-run parallelism each unit uses (a
-	// RunFunc driving Config.ParallelRun > 1). The cell pool shrinks to
-	// Workers / RunWorkers (at least 1) so the two levels share one core
-	// budget instead of multiplying into oversubscription. <= 1 means
-	// units are single-threaded and the pool gets the whole budget.
-	RunWorkers int
 	// Checkpoint is the append-only JSONL path ("" = in-memory only).
 	Checkpoint string
 	// Resume loads a previous checkpoint and skips its completed units.
@@ -53,22 +46,6 @@ type Options struct {
 	// SeedFn overrides substream derivation (nil = DeriveSeed of the
 	// spec's root seed and "cellKey/rep=R").
 	SeedFn func(c Cell, rep int) int64
-}
-
-// cellWorkers is the concurrent-unit bound after carving the intra-run
-// parallelism out of the worker budget.
-func (o Options) cellWorkers() int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if o.RunWorkers > 1 {
-		w /= o.RunWorkers
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w
 }
 
 // Result is a completed (or cleanly halted) sweep execution.
@@ -151,7 +128,7 @@ func Run(ctx context.Context, spec Spec, run RunFunc, opt Options) (*Result, err
 		virtualSecs float64
 		start       = time.Now()
 	)
-	err := ForEach(ctx, opt.cellWorkers(), len(pending), func(i int) error {
+	err := ForEach(ctx, opt.Workers, len(pending), func(i int) error {
 		u := pending[i]
 		seed := seedFn(u.cell, u.rep)
 		sum, err := run(u.cell, seed)
