@@ -152,6 +152,42 @@ func BenchmarkRunC2PL(b *testing.B) { benchOneRun(b, "C2PL", 0.08) }
 // restart churn).
 func BenchmarkRunOPT(b *testing.B) { benchOneRun(b, "OPT", 0.05) }
 
+// Contended-run benchmarks: the paper's Exp-1 machine (8 nodes, 16 files,
+// DD=1, Pattern1) over the full 2,000,000-ms horizon, each scheduler just
+// below its RT=70 s knee. Here the scheduler, WTPG and lock work is most of
+// the wall time, where the batch-scan Run* configs above are dominated by
+// the calendar and the DPN service engine.
+
+func benchExp1Run(b *testing.B, scheduler string, lambda float64) {
+	b.Helper()
+	cfg := DefaultConfig()
+	cfg.ArrivalRate = lambda
+	gen := NewExp1Workload(16)
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		s, err := sched.New(scheduler, DefaultParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := machine.New(cfg, s, gen, sim.NewRNG(int64(i+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum := m.Run(); sum.Completions == 0 {
+			b.Fatal("no completions")
+		}
+		events += m.Engine().Executed()
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// BenchmarkRunExp1GOW measures a contended Exp-1 run under GOW at 0.60 TPS.
+func BenchmarkRunExp1GOW(b *testing.B) { benchExp1Run(b, "GOW", 0.60) }
+
+// BenchmarkRunExp1LOW measures a contended Exp-1 run under LOW at 0.58 TPS.
+func BenchmarkRunExp1LOW(b *testing.B) { benchExp1Run(b, "LOW", 0.58) }
+
 // Decision-engine benchmarks: the latency of one GOW/LOW lock-request
 // decision at a contended steady state (DESIGN.md §17). Both scenarios are
 // built so the scheduler answers Delay, which leaves the WTPG untouched —

@@ -72,18 +72,20 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 
 	// Process-name metadata for every pid in use, ascending.
 	pids := map[int]string{}
-	for _, sp := range o.spans {
-		pid, _ := tracePlacement(sp)
-		if _, ok := pids[pid]; ok {
-			continue
-		}
-		switch {
-		case pid == pidTxn:
-			pids[pid] = "transactions"
-		case pid == pidCN:
-			pids[pid] = "control-node"
-		default:
-			pids[pid] = "dpn-" + strconv.Itoa(pid-pidDPNBase)
+	for _, blk := range o.spans {
+		for _, sp := range blk {
+			pid, _ := tracePlacement(sp)
+			if _, ok := pids[pid]; ok {
+				continue
+			}
+			switch {
+			case pid == pidTxn:
+				pids[pid] = "transactions"
+			case pid == pidCN:
+				pids[pid] = "control-node"
+			default:
+				pids[pid] = "dpn-" + strconv.Itoa(pid-pidDPNBase)
+			}
 		}
 	}
 	for pid := 0; len(pids) > 0 && pid <= maxKey(pids); pid++ {
@@ -101,24 +103,26 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 		delete(pids, pid)
 	}
 
-	for _, sp := range o.spans {
-		pid, tid := tracePlacement(sp)
-		ev := traceEvent{
-			Name: sp.Name, Cat: sp.Cat, Ph: "X",
-			TS: int64(sp.Start), Dur: int64(sp.Duration()),
-			Pid: pid, Tid: tid,
-		}
-		if sp.Txn != 0 || sp.Extra >= 0 {
-			ev.Args = map[string]string{}
-			if sp.Txn != 0 {
-				ev.Args["txn"] = strconv.FormatInt(sp.Txn, 10)
+	for _, blk := range o.spans {
+		for _, sp := range blk {
+			pid, tid := tracePlacement(sp)
+			ev := traceEvent{
+				Name: sp.Name, Cat: sp.Cat, Ph: "X",
+				TS: int64(sp.Start), Dur: int64(sp.Duration()),
+				Pid: pid, Tid: tid,
 			}
-			if sp.Extra >= 0 {
-				ev.Args["step"] = strconv.Itoa(int(sp.Extra))
+			if sp.Txn != 0 || sp.Extra >= 0 {
+				ev.Args = map[string]string{}
+				if sp.Txn != 0 {
+					ev.Args["txn"] = strconv.FormatInt(sp.Txn, 10)
+				}
+				if sp.Extra >= 0 {
+					ev.Args["step"] = strconv.Itoa(int(sp.Extra))
+				}
 			}
-		}
-		if err := emit(ev); err != nil {
-			return err
+			if err := emit(ev); err != nil {
+				return err
+			}
 		}
 	}
 	if _, err := io.WriteString(bw, `],"displayTimeUnit":"ms"}`+"\n"); err != nil {

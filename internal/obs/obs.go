@@ -61,9 +61,14 @@ func (s Span) Duration() sim.Time {
 // Observer is the recording half of the layer. Create with New; a nil
 // Observer is the disabled layer (all methods no-op).
 type Observer struct {
-	spans []Span
-	reg   registry
-	audit Audit
+	// spans holds the recording in fixed blocks of spanBlock spans, filled
+	// in order (only the last block is partial): appending a span never
+	// copies earlier ones, and SpanID n lives at index n-1 of the
+	// concatenation.
+	spans  [][]Span
+	nspans int
+	reg    registry
+	audit  Audit
 
 	// interval is the metrics sampling period (SetSampleInterval).
 	interval sim.Time
@@ -78,6 +83,10 @@ type Observer struct {
 	clampedSpanEnds atomic.Int64
 	clampedSamples  atomic.Int64
 }
+
+// spanBlock is the number of spans per storage block: one allocation per
+// 1024 spans, and no growslice copy of the recording as it grows.
+const spanBlock = 1024
 
 // DefaultSampleInterval is the metrics sampling period of a fresh Observer.
 const DefaultSampleInterval = 1000 * sim.Millisecond
@@ -105,12 +114,18 @@ func (o *Observer) Begin(name, cat string, txn int64, node, extra int, parent Sp
 	if o == nil {
 		return 0
 	}
-	o.spans = append(o.spans, Span{
+	n := len(o.spans)
+	if n == 0 || len(o.spans[n-1]) == spanBlock {
+		o.spans = append(o.spans, make([]Span, 0, spanBlock))
+		n++
+	}
+	o.spans[n-1] = append(o.spans[n-1], Span{
 		Name: name, Cat: cat, Txn: txn,
 		Node: int32(node), Extra: int32(extra),
 		Parent: parent, Start: at, End: -1,
 	})
-	return SpanID(len(o.spans))
+	o.nspans++
+	return SpanID(o.nspans)
 }
 
 // End closes an open span at time at. Ending the zero span, or a span
@@ -122,7 +137,8 @@ func (o *Observer) End(id SpanID, at sim.Time) {
 	if o == nil || id == 0 {
 		return
 	}
-	sp := &o.spans[id-1]
+	i := int(id - 1)
+	sp := &o.spans[i/spanBlock][i%spanBlock]
 	if sp.End < 0 {
 		if at < sp.Start {
 			at = sp.Start
@@ -144,13 +160,17 @@ func (o *Observer) ClockClamps() (spanEnds, samples int64) {
 	return o.clampedSpanEnds.Load(), o.clampedSamples.Load()
 }
 
-// Spans returns the recorded spans in creation order (aliases internal
-// storage; do not mutate).
+// Spans returns a copy of the recorded spans in creation order (nil when
+// nothing was recorded).
 func (o *Observer) Spans() []Span {
-	if o == nil {
+	if o == nil || o.nspans == 0 {
 		return nil
 	}
-	return o.spans
+	out := make([]Span, 0, o.nspans)
+	for _, blk := range o.spans {
+		out = append(out, blk...)
+	}
+	return out
 }
 
 // Audit returns the scheduler decision audit log (nil when disabled), ready
@@ -209,9 +229,11 @@ func (o *Observer) Finish(now sim.Time) {
 	if o == nil {
 		return
 	}
-	for i := range o.spans {
-		if o.spans[i].End < 0 {
-			o.spans[i].End = now
+	for _, blk := range o.spans {
+		for i := range blk {
+			if blk[i].End < 0 {
+				blk[i].End = now
+			}
 		}
 	}
 	if o.sampling && o.lastTick != now {
@@ -238,18 +260,20 @@ func (o *Observer) PhaseTotals(cat string) []PhaseTotal {
 	}
 	var out []PhaseTotal
 	idx := make(map[string]int)
-	for _, sp := range o.spans {
-		if cat != "" && sp.Cat != cat {
-			continue
+	for _, blk := range o.spans {
+		for _, sp := range blk {
+			if cat != "" && sp.Cat != cat {
+				continue
+			}
+			i, ok := idx[sp.Name]
+			if !ok {
+				i = len(out)
+				idx[sp.Name] = i
+				out = append(out, PhaseTotal{Name: sp.Name})
+			}
+			out[i].Total += sp.Duration()
+			out[i].Count++
 		}
-		i, ok := idx[sp.Name]
-		if !ok {
-			i = len(out)
-			idx[sp.Name] = i
-			out = append(out, PhaseTotal{Name: sp.Name})
-		}
-		out[i].Total += sp.Duration()
-		out[i].Count++
 	}
 	return out
 }

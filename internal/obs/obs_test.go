@@ -218,3 +218,69 @@ func TestClockClamps(t *testing.T) {
 		t.Fatal("nil observer reports clamps")
 	}
 }
+
+// TestSpansAcrossBlocks: span IDs, End, Finish and PhaseTotals address the
+// right span across storage-block boundaries, and Spans returns a copy.
+func TestSpansAcrossBlocks(t *testing.T) {
+	o := New()
+	n := 2*spanBlock + spanBlock/2
+	for i := 0; i < n; i++ {
+		id := o.Begin("s", "txn", int64(i+1), -1, -1, 0, sim.Time(i))
+		if int(id) != i+1 {
+			t.Fatalf("span %d got id %d", i, id)
+		}
+		if i%2 == 0 {
+			o.End(id, sim.Time(i+10))
+		}
+	}
+	o.Finish(sim.Time(5 * n))
+	spans := o.Spans()
+	if len(spans) != n {
+		t.Fatalf("Spans() has %d spans, want %d", len(spans), n)
+	}
+	var total sim.Time
+	for i, sp := range spans {
+		want := sim.Time(i + 10)
+		if i%2 == 1 {
+			want = sim.Time(5 * n)
+		}
+		if sp.Txn != int64(i+1) || sp.End != want {
+			t.Fatalf("span %d: txn %d end %v, want txn %d end %v", i, sp.Txn, sp.End, i+1, want)
+		}
+		total += sp.Duration()
+	}
+	if pt := o.PhaseTotals("txn"); len(pt) != 1 || pt[0].Count != n || pt[0].Total != total {
+		t.Fatalf("PhaseTotals = %+v, want one phase of %d spans totalling %v", pt, n, total)
+	}
+	spans[0].End = -7
+	if o.Spans()[0].End == -7 {
+		t.Fatal("Spans() aliases the observer's storage")
+	}
+}
+
+// TestBeginAllocsPerBlock pins the span store's growth: recording spans
+// costs at most one allocation per spanBlock spans.
+func TestBeginAllocsPerBlock(t *testing.T) {
+	o := New()
+	a := testing.AllocsPerRun(50, func() {
+		for i := 0; i < spanBlock; i++ {
+			o.Begin("execute", "txn", 1, -1, 0, 0, 0)
+		}
+	})
+	if a > 1 {
+		t.Fatalf("%v allocations per %d spans, want <= 1", a, spanBlock)
+	}
+}
+
+// BenchmarkObsBegin measures recording one span. A fresh observer every
+// 64 blocks keeps the benchmark's memory bounded at large b.N.
+func BenchmarkObsBegin(b *testing.B) {
+	o := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%(64*spanBlock) == 0 {
+			o = New()
+		}
+		o.Begin("execute", "txn", int64(i), -1, 0, 0, sim.Time(i))
+	}
+}

@@ -26,10 +26,11 @@ func holdsSufficient(locks *lock.Table, t *model.Txn) bool {
 // and LOW would have blind spots.
 //
 // The orientations all point into the fresh sink t, so they can never close
-// a cycle; a failure here is a programming error and panics.
-func seedHolderOrder(g *wtpg.Graph, locks *lock.Table, t *model.Txn) {
+// a cycle; a failure here is a programming error and panics. The pairs are
+// appended into buf[:0], which is returned for reuse.
+func seedHolderOrder(buf [][2]int64, g *wtpg.Graph, locks *lock.Table, t *model.Txn) [][2]int64 {
 	files, modes := t.LockNeedSorted()
-	var pairs [][2]int64
+	pairs := buf[:0]
 	for i, f := range files {
 		for _, h := range locks.Holders(f) {
 			if h == t.ID || !g.Has(h) {
@@ -44,21 +45,18 @@ func seedHolderOrder(g *wtpg.Graph, locks *lock.Table, t *model.Txn) {
 	if err := g.OrientAll(pairs); err != nil {
 		panic(fmt.Sprintf("sched: seeding holder order for T%d failed: %v", t.ID, err))
 	}
+	return pairs
 }
 
-// conflictersOn lists the active transactions (in the graph) other than t
-// whose declared need on file f is incompatible with mode m — the set C(q)
-// of the paper's Fig. 7, in deterministic (insertion) order.
-func conflictersOn(g *wtpg.Graph, t *model.Txn, f model.FileID, m model.Mode) []*model.Txn {
-	var out []*model.Txn
-	for _, u := range g.Txns() {
-		if u.ID == t.ID {
-			continue
-		}
-		um, ok := u.LockNeed()[f]
-		if ok && !um.Compatible(m) {
-			out = append(out, u)
+// conflictersOn appends to buf the active transactions (in the graph) other
+// than t whose declared need on file f is incompatible with mode m — the set
+// C(q) of the paper's Fig. 7, in deterministic (insertion) order — each with
+// its declared mode on f. It reads only the graph's declaration index.
+func conflictersOn(buf []wtpg.Decl, g *wtpg.Graph, t *model.Txn, f model.FileID, m model.Mode) []wtpg.Decl {
+	for _, d := range g.Declarers(f) {
+		if d.Txn.ID != t.ID && !d.Mode.Compatible(m) {
+			buf = append(buf, d)
 		}
 	}
-	return out
+	return buf
 }

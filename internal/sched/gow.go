@@ -37,6 +37,10 @@ type gow struct {
 	screenTxns []*model.Txn
 	screenRej  []bool
 	screenCk   []wtpg.AddCheck
+
+	// pairs is Request's orientation scratch; seed is Admit's.
+	pairs [][2]int64
+	seed  [][2]int64
 }
 
 // NewGOW returns a Globally-Optimized WTPG scheduler.
@@ -87,7 +91,7 @@ func (s *gow) Admit(t *model.Txn) (bool, sim.Time) {
 		return false, s.p.TopTime
 	}
 	s.graph.Add(t)
-	seedHolderOrder(s.graph, s.locks, t)
+	s.seed = seedHolderOrder(s.seed, s.graph, s.locks, t)
 	return true, s.p.TopTime
 }
 
@@ -148,7 +152,8 @@ func (s *gow) Request(t *model.Txn) Outcome {
 	if s.p.GOWGreedy {
 		// Ablation: no global optimization — grant whenever the implied
 		// orientations do not contradict the existing order.
-		pairs, err := s.graph.GrantOrientations(t, st.File, st.LockMode)
+		pairs, err := s.graph.GrantOrientations(s.pairs, t, st.File, st.LockMode)
+		s.pairs = pairs
 		if err != nil {
 			s.record(t, Delay, pairs, 0, false, err.Error())
 			return Outcome{Decision: Delay, CPU: s.p.DDTime}
@@ -167,7 +172,8 @@ func (s *gow) Request(t *model.Txn) Outcome {
 	// with no pairs to test against W the computation cannot change the
 	// decision (it has no side effects on the graph).
 	cpu := s.p.ChainTime
-	pairs, err := s.graph.GrantOrientations(t, st.File, st.LockMode)
+	pairs, err := s.graph.GrantOrientations(s.pairs, t, st.File, st.LockMode)
+	s.pairs = pairs
 	if err != nil {
 		s.record(t, Delay, nil, 0, false, err.Error())
 		return Outcome{Decision: Delay, CPU: cpu}
@@ -191,8 +197,10 @@ func (s *gow) Request(t *model.Txn) Outcome {
 		for _, pr := range pairs {
 			if ok, found := plan.Precedes(pr[1], pr[0]); found && ok {
 				// W wants the other transaction first; q is inconsistent.
-				s.record(t, Delay, pairs, cp, haveCP,
-					fmt.Sprintf("W orders T%d before T%d", pr[1], pr[0]))
+				if s.audit != nil {
+					s.record(t, Delay, pairs, cp, haveCP,
+						fmt.Sprintf("W orders T%d before T%d", pr[1], pr[0]))
+				}
 				return Outcome{Decision: Delay, CPU: cpu}
 			}
 		}

@@ -45,6 +45,11 @@ type low struct {
 	screen     map[int64]bool
 	screenTxns []*model.Txn
 	screenRej  []bool
+
+	// confs is Request's C(q) scratch and seed Admit's orientation scratch
+	// (sequential callers only).
+	confs []wtpg.Decl
+	seed  [][2]int64
 }
 
 // NewLOW returns a Locally-Optimized WTPG scheduler with conflict bound p.K.
@@ -143,27 +148,38 @@ func (s *low) Admit(t *model.Txn) (bool, sim.Time) {
 		return false, 0
 	}
 	s.graph.Add(t)
-	seedHolderOrder(s.graph, s.locks, t)
+	s.seed = seedHolderOrder(s.seed, s.graph, s.locks, t)
 	return true, 0
 }
 
 // admitBlocked is the K-bound admission test, read-only on the graph: t is
 // refused when some file's conflicting-declaration set — t's own, or that of
-// a transaction t would join — would exceed K.
+// a transaction t would join — would exceed K. t is not in the graph, so
+// every set size follows from the file's declarer counts: it builds no
+// lists and is safe to run concurrently (the prescreen fan-out).
 func (s *low) admitBlocked(t *model.Txn) bool {
-	need := t.LockNeed()
-	for f, m := range need {
-		cs := conflictersOn(s.graph, t, f, m)
-		if len(cs) > s.p.K {
+	k := s.p.K
+	files, modes := t.LockNeedSorted()
+	for i, f := range files {
+		n, nx := s.graph.DeclCounts(f)
+		// t's own set: every declarer when t writes f, the X declarers when
+		// it reads.
+		own := nx
+		if modes[i] == model.X {
+			own = n
+		}
+		if own > k {
 			return true
 		}
-		for _, u := range cs {
-			um := u.LockNeed()[f]
-			// u's conflict set on f after t joins: current conflicters of
-			// u's access plus t itself.
-			if len(conflictersOn(s.graph, u, f, um))+1 > s.p.K {
-				return true
-			}
+		// Each member u of t's set gains t. An X declarer conflicts with the
+		// other n-1 declarers, so with t its set has n members, and it is in
+		// t's set whatever t's mode; an S declarer conflicts with the nx X
+		// declarers and is in t's set only when t writes f.
+		if nx > 0 && n > k {
+			return true
+		}
+		if modes[i] == model.X && n > nx && nx+1 > k {
+			return true
 		}
 	}
 	return false
@@ -246,11 +262,12 @@ func (s *low) Request(t *model.Txn) Outcome {
 	// declaration p in C(q). Each E(p) costs another kwtpgtime.
 	var cands []int64
 	var eps []float64
-	for _, u := range conflictersOn(s.graph, t, st.File, st.LockMode) {
+	s.confs = conflictersOn(s.confs[:0], s.graph, t, st.File, st.LockMode)
+	for _, u := range s.confs {
 		cpu += s.p.KWTPGTime
-		ep := wtpg.Evaluate(s.graph, u, st.File, u.LockNeed()[st.File], s.w0)
+		ep := wtpg.Evaluate(s.graph, u.Txn, st.File, u.Mode, s.w0)
 		if s.audit != nil {
-			cands = append(cands, u.ID)
+			cands = append(cands, u.Txn.ID)
 			eps = append(eps, ep)
 		}
 		if eq > ep {
@@ -277,12 +294,12 @@ func (s *low) Request(t *model.Txn) Outcome {
 // value is simply never consulted, so outputs are unchanged.
 func (s *low) requestParallel(t *model.Txn, st model.Step) Outcome {
 	cpu := s.p.KWTPGTime
-	confs := conflictersOn(s.graph, t, st.File, st.LockMode)
+	s.confs = conflictersOn(s.confs[:0], s.graph, t, st.File, st.LockMode)
 	s.evalTxns = append(s.evalTxns[:0], t)
 	s.evalModes = append(s.evalModes[:0], st.LockMode)
-	for _, u := range confs {
-		s.evalTxns = append(s.evalTxns, u)
-		s.evalModes = append(s.evalModes, u.LockNeed()[st.File])
+	for _, u := range s.confs {
+		s.evalTxns = append(s.evalTxns, u.Txn)
+		s.evalModes = append(s.evalModes, u.Mode)
 	}
 	s.evalFile = st.File
 	if n := len(s.evalTxns); cap(s.evalRes) < n {
@@ -310,11 +327,11 @@ func (s *low) requestParallel(t *model.Txn, st model.Step) Outcome {
 	}
 	var cands []int64
 	var eps []float64
-	for i, u := range confs {
+	for i, u := range s.confs {
 		cpu += s.p.KWTPGTime
 		ep := s.evalRes[i+1]
 		if s.audit != nil {
-			cands = append(cands, u.ID)
+			cands = append(cands, u.Txn.ID)
 			eps = append(eps, ep)
 		}
 		if eq > ep {

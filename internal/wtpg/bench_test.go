@@ -8,6 +8,8 @@ import (
 
 	"batchsched/internal/model"
 	"batchsched/internal/pool"
+	"batchsched/internal/sim"
+	"batchsched/internal/workload"
 )
 
 // benchChain builds an n-node chain graph with random weights.
@@ -107,16 +109,32 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 // BenchmarkChainFormAfterAdd measures GOW's Phase-0 admission test, the
-// hottest scheduler call at saturation.
+// hottest scheduler call at saturation, on an Exp-1-sized graph: Experiment-1
+// transactions (Pattern1 over 16 files) admitted while the graph stays in
+// chain form, until 64 draws in a row are refused. Each iteration tests the
+// next of 64 fresh candidates.
 func BenchmarkChainFormAfterAdd(b *testing.B) {
-	g, _ := benchChain(32, 7)
-	probe := model.NewTxn(999, 0, []model.Step{
-		{File: 5, Write: true, LockMode: model.X, Cost: 1, DeclaredCost: 1},
-	})
+	rng := sim.NewRNG(1)
+	gen := workload.NewExp1(16)
+	g := New()
+	id := int64(1)
+	for refused := 0; refused < 64; id++ {
+		t := model.NewTxn(id, 0, gen.Steps(rng))
+		if g.ChainFormAfterAdd(t) {
+			g.Add(t)
+			refused = 0
+		} else {
+			refused++
+		}
+	}
+	probes := make([]*model.Txn, 64)
+	for i := range probes {
+		probes[i] = model.NewTxn(id+int64(i), 0, gen.Steps(rng))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.ChainFormAfterAdd(probe)
+		g.ChainFormAfterAdd(probes[i%len(probes)])
 	}
 }
 

@@ -88,8 +88,9 @@ func (g *Graph) ChainForm() bool {
 // conflicts with at most two residents, each prospective neighbor currently
 // has degree <= 1 (it would become an interior node), and — when there are
 // two neighbors — they lie in different components (joining the same path's
-// two endpoints would close a cycle). This is O(active + component) and
-// runs on every admission retry, so it must not clone the graph.
+// two endpoints would close a cycle). It walks only the declarers of t's
+// files (the declaration index) plus one component, and runs on every
+// admission retry, so it must not clone the graph.
 func (g *Graph) ChainFormAfterAdd(t *model.Txn) bool {
 	return g.chainFormAfterAdd(t, &g.mark, &g.stack)
 }
@@ -111,24 +112,27 @@ func (g *Graph) ChainFormAfterAddWith(t *model.Txn, ck *AddCheck) bool {
 }
 
 func (g *Graph) chainFormAfterAdd(t *model.Txn, markBuf *[]bool, stackBuf *[]int) bool {
-	var nbrs [2]int64
+	// t's prospective neighbors are the declarers of its files in an
+	// incompatible mode; a resident conflicting on several files is one
+	// neighbor. The outcome is a set test, so the walk order does not
+	// matter, and a third distinct neighbor settles it.
+	var nbrs [2]int // slots
 	n := 0
-	// Slot order, not insertion order: the outcome (a set test) is
-	// order-independent, and the slot scan needs no map lookups.
-	for s, u := range g.txnAt {
-		if !g.live[s] {
-			continue
-		}
-		if declConflict(t, u) {
+	files, modes := t.LockNeedSorted()
+	for i, f := range files {
+		for _, d := range g.Declarers(f) {
+			if d.Mode.Compatible(modes[i]) || (n > 0 && nbrs[0] == d.slot) || (n > 1 && nbrs[1] == d.slot) {
+				continue
+			}
 			if n == 2 {
 				return false
 			}
-			nbrs[n] = u.ID
+			nbrs[n] = d.slot
 			n++
 		}
 	}
-	for _, u := range nbrs[:n] {
-		if len(g.nbrs[g.slots[u]]) > 1 {
+	for _, us := range nbrs[:n] {
+		if len(g.nbrs[us]) > 1 {
 			return false
 		}
 	}
@@ -138,15 +142,10 @@ func (g *Graph) chainFormAfterAdd(t *model.Txn, markBuf *[]bool, stackBuf *[]int
 	return true
 }
 
-// sameComponent reports whether x and y lie in the same undirected
-// component (the graph is a union of paths, so this walks at most one
-// path).
-func (g *Graph) sameComponent(x, y int64) bool {
-	return g.sameComponentWith(x, y, &g.mark, &g.stack)
-}
-
-func (g *Graph) sameComponentWith(x, y int64, markBuf *[]bool, stackBuf *[]int) bool {
-	sx, sy := g.slots[x], g.slots[y]
+// sameComponentWith reports whether slots sx and sy lie in the same
+// undirected component (the graph is a union of paths, so this walks at most
+// one path).
+func (g *Graph) sameComponentWith(sx, sy int, markBuf *[]bool, stackBuf *[]int) bool {
 	mark := resetBools(markBuf, len(g.ids))
 	stack := append((*stackBuf)[:0], sx)
 	mark[sx] = true

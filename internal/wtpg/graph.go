@@ -105,6 +105,17 @@ type Graph struct {
 	freed []int
 	order []int64 // insertion order, for deterministic iteration
 
+	// decl[f] is the per-file declaration index every "who declares f
+	// incompatibly" question (LOW's C(q), GOW's chain-form test, Add's edge
+	// candidates) is answered from. Entries stay once a file has been seen,
+	// so their lists' storage is reused. seq[s] is slot s's insertion
+	// sequence number, which orders Add's candidates drawn from several
+	// files; addCand is Add's scratch.
+	decl    map[model.FileID]*fileDecls
+	seq     []uint64
+	nextSeq uint64
+	addCand []int
+
 	// nbrs[s] holds the edges incident to slot s, sorted ascending by the
 	// other endpoint's transaction ID, so per-request iteration needs no
 	// sort and pair lookup is a binary search.
@@ -142,8 +153,21 @@ type Graph struct {
 	visited []bool
 	mark    []bool
 	comp    []int // path-ordered component slots
-	cs      chainScratch
-	pp      planParallel // parallel chain-orientation state (chain_parallel.go)
+	// grantBuf holds the orientations of Grant and Evaluate, the exclusive
+	// (mutating) callers of GrantOrientations.
+	grantBuf [][2]int64
+	// freeEdges recycles the edges Remove deletes, so steady-state Add
+	// allocates nothing.
+	freeEdges []*edge
+	cs        chainScratch
+	pp        planParallel // parallel chain-orientation state (chain_parallel.go)
+}
+
+// fileDecls is one file's entry in the declaration index: its declarers in
+// insertion order and how many of them declare mode X.
+type fileDecls struct {
+	list []Decl
+	nx   int
 }
 
 // New returns an empty WTPG.
@@ -151,6 +175,7 @@ func New() *Graph {
 	return &Graph{
 		txns:  make(map[int64]*model.Txn),
 		slots: make(map[int64]int),
+		decl:  make(map[model.FileID]*fileDecls),
 	}
 }
 
@@ -163,13 +188,33 @@ func (g *Graph) Has(id int64) bool { _, ok := g.txns[id]; return ok }
 // Txn returns the transaction with the given id, or nil.
 func (g *Graph) Txn(id int64) *model.Txn { return g.txns[id] }
 
-// Txns returns the transactions in insertion order.
-func (g *Graph) Txns() []*model.Txn {
-	out := make([]*model.Txn, 0, len(g.order))
-	for _, id := range g.order {
-		out = append(out, g.txns[id])
+// Decl is one entry of the per-file declaration index: a transaction in
+// the graph and the strongest lock mode its declaration requests on the
+// file.
+type Decl struct {
+	Txn  *model.Txn
+	Mode model.Mode
+	slot int
+}
+
+// Declarers returns the transactions in the graph that declare file f, with
+// their modes, in insertion order. The slice is the index itself: callers
+// must not modify it or retain it across Add/Remove. Concurrent readers are
+// safe while nobody mutates the graph.
+func (g *Graph) Declarers(f model.FileID) []Decl {
+	if fd := g.decl[f]; fd != nil {
+		return fd.list
 	}
-	return out
+	return nil
+}
+
+// DeclCounts returns how many transactions in the graph declare file f, and
+// how many of them declare it in mode X.
+func (g *Graph) DeclCounts(f model.FileID) (n, nx int) {
+	if fd := g.decl[f]; fd != nil {
+		return len(fd.list), fd.nx
+	}
+	return 0, 0
 }
 
 func bitGet(row []uint64, i int) bool { return row[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -191,6 +236,7 @@ func (g *Graph) allocSlot(id int64) int {
 		g.nbrs = append(g.nbrs, nil)
 		g.reach = append(g.reach, nil)
 		g.rowGen = append(g.rowGen, 0)
+		g.seq = append(g.seq, 0)
 		if need := (len(g.ids) + 63) / 64; need > g.words {
 			g.words = need
 			for i := range g.reach {
@@ -203,6 +249,8 @@ func (g *Graph) allocSlot(id int64) int {
 	g.ids[s] = id
 	g.live[s] = true
 	g.slots[id] = s
+	g.seq[s] = g.nextSeq
+	g.nextSeq++
 	row := g.reach[s]
 	if cap(row) < g.words {
 		row = make([]uint64, g.words)
@@ -253,8 +301,10 @@ func (g *Graph) removeNeighbor(s int, other int64) {
 
 // Add inserts a transaction, creating a conflict edge (with both directional
 // weights from the access declarations) to every already-present transaction
-// it conflicts with. Adding an existing id panics: it is always a scheduler
-// bug.
+// it conflicts with. The candidates come from the declaration index and are
+// visited in insertion order, so edge IDs are assigned exactly as a scan of
+// every resident would assign them. Adding an existing id panics: it is
+// always a scheduler bug.
 func (g *Graph) Add(t *model.Txn) {
 	if g.specActive {
 		panic("wtpg: Add during speculative evaluation")
@@ -266,54 +316,107 @@ func (g *Graph) Add(t *model.Txn) {
 	g.txns[t.ID] = t
 	g.txnAt[s] = t
 	g.order = append(g.order, t.ID)
-	for _, id := range g.order[:len(g.order)-1] {
-		u := g.txns[id]
-		files := conflictFiles(t, u)
-		if len(files) == 0 {
+	files, modes := t.LockNeedSorted()
+	cand := g.addCand[:0]
+	for i, f := range files {
+		for _, d := range g.Declarers(f) {
+			if !d.Mode.Compatible(modes[i]) {
+				cand = append(cand, d.slot)
+			}
+		}
+	}
+	g.indexDecls(t, s)
+	// Insertion order; a resident conflicting on several files appears once
+	// per file and is visited once.
+	sortBySeq(cand, g.seq)
+	for i, us := range cand {
+		if i > 0 && us == cand[i-1] {
 			continue
 		}
+		u := g.txnAt[us]
 		a, b := pairKey(t.ID, u.ID)
 		ta, tb := g.txns[a], g.txns[b]
 		wAB, _ := model.ConflictWeight(tb, ta) // b blocked by a
 		wBA, _ := model.ConflictWeight(ta, tb)
-		e := &edge{a: a, b: b, sa: g.slots[a], sb: g.slots[b], eid: g.allocEID(),
-			wAB: wAB, wBA: wBA, files: files}
+		e := g.newEdge()
+		*e = edge{a: a, b: b, sa: g.slots[a], sb: g.slots[b], eid: g.allocEID(),
+			wAB: wAB, wBA: wBA, files: appendConflictFiles(e.files[:0], t, u)}
 		g.insertNeighbor(s, u.ID, e)
-		g.insertNeighbor(g.slots[u.ID], t.ID, e)
+		g.insertNeighbor(us, t.ID, e)
 		g.edgesDirty = true
 	}
+	g.addCand = cand[:0]
 }
 
-// declConflict reports whether the declared needs of x and y request
-// incompatible modes on at least one common file. A merge over the sorted
-// need lists: no allocation, no map iteration.
-func declConflict(x, y *model.Txn) bool {
-	fx, mx := x.LockNeedSorted()
-	fy, my := y.LockNeedSorted()
-	i, j := 0, 0
-	for i < len(fx) && j < len(fy) {
-		switch {
-		case fx[i] < fy[j]:
-			i++
-		case fx[i] > fy[j]:
-			j++
-		default:
-			if !mx[i].Compatible(my[j]) {
-				return true
-			}
-			i++
-			j++
+// newEdge returns a recycled edge (its files slice kept for reuse) or a
+// fresh one.
+func (g *Graph) newEdge() *edge {
+	if n := len(g.freeEdges); n > 0 {
+		e := g.freeEdges[n-1]
+		g.freeEdges[n-1] = nil
+		g.freeEdges = g.freeEdges[:n-1]
+		return e
+	}
+	return new(edge)
+}
+
+// sortBySeq orders slots by insertion sequence with an allocation-free
+// insertion sort (candidate lists hold a handful of slots).
+func sortBySeq(slots []int, seq []uint64) {
+	for i := 1; i < len(slots); i++ {
+		x := slots[i]
+		j := i - 1
+		for j >= 0 && seq[slots[j]] > seq[x] {
+			slots[j+1] = slots[j]
+			j--
+		}
+		slots[j+1] = x
+	}
+}
+
+// indexDecls appends t (at slot s) to the declaration index of every file
+// it declares.
+func (g *Graph) indexDecls(t *model.Txn, s int) {
+	files, modes := t.LockNeedSorted()
+	for i, f := range files {
+		fd := g.decl[f]
+		if fd == nil {
+			fd = new(fileDecls)
+			g.decl[f] = fd
+		}
+		fd.list = append(fd.list, Decl{Txn: t, Mode: modes[i], slot: s})
+		if modes[i] == model.X {
+			fd.nx++
 		}
 	}
-	return false
 }
 
-// conflictFiles lists the files on which the declared needs of x and y
-// request incompatible lock modes, in ascending order.
-func conflictFiles(x, y *model.Txn) []model.FileID {
+// unindexDecls deletes t from the declaration index, keeping every file's
+// list in insertion order.
+func (g *Graph) unindexDecls(t *model.Txn) {
+	files, modes := t.LockNeedSorted()
+	for i, f := range files {
+		fd := g.decl[f]
+		lst := fd.list
+		for j := range lst {
+			if lst[j].Txn == t {
+				copy(lst[j:], lst[j+1:])
+				lst[len(lst)-1] = Decl{}
+				fd.list = lst[:len(lst)-1]
+				break
+			}
+		}
+		if modes[i] == model.X {
+			fd.nx--
+		}
+	}
+}
+
+// appendConflictFiles appends to out the files on which the declared needs
+// of x and y request incompatible lock modes, in ascending order.
+func appendConflictFiles(out []model.FileID, x, y *model.Txn) []model.FileID {
 	fx, mx := x.LockNeedSorted()
 	fy, my := y.LockNeedSorted()
-	var out []model.FileID
 	i, j := 0, 0
 	for i < len(fx) && j < len(fy) {
 		switch {
@@ -354,6 +457,7 @@ func (g *Graph) Remove(id int64) {
 			os = e.sb
 		}
 		g.removeNeighbor(os, id)
+		g.freeEdges = append(g.freeEdges, e)
 	}
 	if len(g.nbrs[s]) > 0 {
 		g.edgesDirty = true
@@ -363,6 +467,7 @@ func (g *Graph) Remove(id int64) {
 		lst[i] = nil
 	}
 	g.nbrs[s] = lst[:0]
+	g.unindexDecls(g.txnAt[s])
 	delete(g.slots, id)
 	delete(g.txns, id)
 	g.txnAt[s] = nil
@@ -423,33 +528,6 @@ func (g *Graph) pushSuccessors(s int) {
 			}
 		}
 	}
-}
-
-// Clone returns a deep copy of the graph sharing the (immutable) transaction
-// declarations. Retained for tests and offline tools; the hot path
-// (Evaluate) speculates on the live graph instead.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, id := range g.order {
-		s := c.allocSlot(id)
-		c.txns[id] = g.txns[id]
-		c.txnAt[s] = g.txns[id]
-		c.order = append(c.order, id)
-	}
-	for _, e := range g.edgeSet() {
-		ce := &edge{a: e.a, b: e.b, sa: c.slots[e.a], sb: c.slots[e.b],
-			eid: c.allocEID(), wAB: e.wAB, wBA: e.wBA, dir: e.dir,
-			files: append([]model.FileID(nil), e.files...)}
-		c.insertNeighbor(ce.sa, e.b, ce)
-		c.insertNeighbor(ce.sb, e.a, ce)
-	}
-	c.edgesDirty = true
-	for s, lv := range c.live {
-		if lv {
-			c.recomputeRow(s)
-		}
-	}
-	return c
 }
 
 // EdgeDir returns the orientation state of the edge between x and y, and
@@ -703,12 +781,16 @@ func sortEdges(es []*edge) {
 // active transaction whose declared need on f is incompatible with m. The
 // second return is ErrDeadlock when some such pair is already determined the
 // other way (the grant would violate the existing order).
-func (g *Graph) GrantOrientations(t *model.Txn, f model.FileID, m model.Mode) ([][2]int64, error) {
+//
+// The pairs are appended into dst[:0] (empty on error), so a caller that
+// owns a scratch slice pays no allocation per decision. It only reads the
+// graph.
+func (g *Graph) GrantOrientations(dst [][2]int64, t *model.Txn, f model.FileID, m model.Mode) ([][2]int64, error) {
+	out := dst[:0]
 	s, ok := g.slots[t.ID]
 	if !ok {
-		return nil, fmt.Errorf("wtpg: transaction %d not in graph", t.ID)
+		return out, fmt.Errorf("wtpg: transaction %d not in graph", t.ID)
 	}
-	var out [][2]int64
 	for _, e := range g.nbrs[s] { // sorted by the other endpoint's ID
 		if !e.conflictsOn(f) {
 			continue
@@ -727,11 +809,11 @@ func (g *Graph) GrantOrientations(t *model.Txn, f model.FileID, m model.Mode) ([
 			out = append(out, [2]int64{t.ID, uID})
 		case AToB:
 			if e.a != t.ID {
-				return nil, ErrDeadlock
+				return out[:0], ErrDeadlock
 			}
 		case BToA:
 			if e.b != t.ID {
-				return nil, ErrDeadlock
+				return out[:0], ErrDeadlock
 			}
 		}
 	}
@@ -742,7 +824,8 @@ func (g *Graph) GrantOrientations(t *model.Txn, f model.FileID, m model.Mode) ([
 // file f (see GrantOrientations) plus their closure, atomically. On
 // ErrDeadlock the graph is unchanged and the grant must not proceed.
 func (g *Graph) Grant(t *model.Txn, f model.FileID, m model.Mode) error {
-	pairs, err := g.GrantOrientations(t, f, m)
+	pairs, err := g.GrantOrientations(g.grantBuf, t, f, m)
+	g.grantBuf = pairs
 	if err != nil {
 		return err
 	}
@@ -850,7 +933,8 @@ func (g *Graph) CriticalPath(w0 T0Weight) (float64, error) {
 // remaining conflict edges, and roll the graph back to its prior state. A
 // grant that would deadlock evaluates to +Inf.
 func Evaluate(g *Graph, t *model.Txn, f model.FileID, m model.Mode, w0 T0Weight) float64 {
-	pairs, err := g.GrantOrientations(t, f, m)
+	pairs, err := g.GrantOrientations(g.grantBuf, t, f, m)
+	g.grantBuf = pairs
 	if err != nil {
 		return math.Inf(1)
 	}

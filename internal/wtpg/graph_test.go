@@ -261,7 +261,7 @@ func TestGrantIdempotentForHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Granting the same file again determines nothing new.
-	pairs, err := g.GrantOrientations(t1, 0, model.X)
+	pairs, err := g.GrantOrientations(nil, t1, 0, model.X)
 	if err != nil || len(pairs) != 0 {
 		t.Errorf("GrantOrientations after grant = %v, %v; want empty, nil", pairs, err)
 	}
@@ -270,7 +270,7 @@ func TestGrantIdempotentForHolder(t *testing.T) {
 
 func TestGrantOnUnsharedFileDeterminesNothing(t *testing.T) {
 	g, t1, _ := fig2Graph()
-	pairs, err := g.GrantOrientations(t1, 1, model.S) // file B: only T1 touches it
+	pairs, err := g.GrantOrientations(nil, t1, 1, model.S) // file B: only T1 touches it
 	if err != nil || len(pairs) != 0 {
 		t.Errorf("grant on private file: pairs=%v err=%v", pairs, err)
 	}
@@ -288,6 +288,20 @@ func TestCloneIsDeep(t *testing.T) {
 	c.Remove(t1.ID)
 	if !g.Has(t1.ID) {
 		t.Fatal("removing from the clone mutated the original")
+	}
+	for _, f := range t1.Steps {
+		for _, d := range c.Declarers(f.File) {
+			if d.Txn == t1 {
+				t.Fatalf("clone's declaration index still lists T%d on file %d", t1.ID, f.File)
+			}
+		}
+		found := false
+		for _, d := range g.Declarers(f.File) {
+			found = found || d.Txn == t1
+		}
+		if !found {
+			t.Fatalf("removing from the clone dropped T%d from the original's index on file %d", t1.ID, f.File)
+		}
 	}
 }
 

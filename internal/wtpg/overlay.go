@@ -152,6 +152,7 @@ type Overlay struct {
 	rgen []uint64   // generation stamp per slot row
 
 	patched []*edge // edges oriented in this evaluation, in orientation order
+	pairs   [][2]int64
 
 	// Incremental critical-path scratch.
 	dirty  []uint64 // bitset of slots whose cached value the patch invalidates
@@ -440,7 +441,8 @@ func (o *Overlay) criticalPath(b *EvalBase) (float64, error) {
 // since the last graph mutation) and nothing mutates the graph underneath.
 func (o *Overlay) Evaluate(b *EvalBase, t *model.Txn, f model.FileID, m model.Mode) float64 {
 	g := b.g
-	pairs, err := g.GrantOrientations(t, f, m)
+	pairs, err := g.GrantOrientations(o.pairs, t, f, m)
+	o.pairs = pairs
 	if err != nil {
 		return math.Inf(1)
 	}
