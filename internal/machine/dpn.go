@@ -108,6 +108,9 @@ type dpn struct {
 	fcRem []sim.Time
 	fcQ   []sim.Time
 	fcE   []sim.Time
+	// boundaries counts applyBoundary calls: the probe by which the tests
+	// pin replay to O(ring) per sync.
+	boundaries int
 
 	// ob records cohort residency spans when observability is enabled.
 	ob *obs.Observer
@@ -155,8 +158,8 @@ func (d *dpn) add(c *cohort) {
 }
 
 // queueLen reports the number of resident cohorts at the current virtual
-// time (bringing the fast-forward ring up to date first, so load probes and
-// gauges see exactly what the stepped engine would have).
+// time (bringing the fast-forward ring up to date first, so load probes see
+// exactly what the stepped engine would have).
 func (d *dpn) queueLen() int {
 	d.sync()
 	return len(d.ring)
@@ -176,8 +179,7 @@ func (d *dpn) sync() {
 	}
 	now := d.eng.Now()
 	d.advanceTo(now)
-	prio := d.eng.CurPrio()
-	for d.busy && d.svcEnd == now && d.svcStart < prio {
+	for d.boundaryDue() {
 		if c := d.ring[d.cur]; !c.dead && c.remaining <= d.svcSlice {
 			// A completion here would mean the (now, svcStart) completion
 			// event is on the calendar and the engine dispatched the later

@@ -13,10 +13,11 @@ import (
 // (svcStart..svcEnd, mirroring the quantum the stepped engine would have
 // booked) and schedules a single event at the analytically computed next
 // completion. Whenever anything looks at or perturbs the ring — an arrival,
-// a crash, a straggler toggle, a dead mark, a queue-length probe, a busy
-// gauge — the boundaries between svcEnd and the current virtual time are
-// replayed onto the ring first, so every observer sees exactly the state
-// the stepped engine would have shown it.
+// a crash, a straggler toggle, a dead mark, a queue-length probe — the
+// boundaries between svcEnd and the current virtual time are replayed onto
+// the ring first (whole rotations in closed form), so every observer sees
+// exactly the state the stepped engine would have shown it. The sampling
+// gauges compute that state without replaying.
 //
 // Equivalence with the stepped engine rests on two facts. First, inside an
 // epoch (no ring change) every service is a full quantum: a short or final
@@ -57,6 +58,7 @@ func (d *dpn) startService(t sim.Time) {
 // next service at the boundary instant.
 func (d *dpn) applyBoundary() {
 	b := d.svcEnd
+	d.boundaries++
 	d.met.DPNBusy(d.id, d.svcElapsed)
 	c := d.ring[d.cur]
 	if d.svcElapsed != d.slowRound(c.quantum) {
@@ -87,11 +89,71 @@ func (d *dpn) applyBoundary() {
 	d.startService(b)
 }
 
-// advanceTo replays every service boundary strictly before t. Inside an
-// epoch all such boundaries are full quanta or dead-cohort drops; crossing
-// a completion would mean the forecast missed a ring change, which is a
-// bug worth dying loudly for.
+// fullInFlight reports whether the in-flight service is a full quantum at
+// the current straggler factor: not a final slice, nor one booked before a
+// straggler toggle (whose boundary moves the tie-key anchor). Requires an
+// in-flight service.
+func (d *dpn) fullInFlight() bool {
+	c := d.ring[d.cur]
+	return d.svcSlice == c.quantum && d.svcElapsed == d.slowRound(c.quantum)
+}
+
+// uniform returns the busy time of one whole rotation — every resident
+// cohort's full quantum, rounded under the current straggler factor as the
+// stepped engine rounds each booking — and whether the rotation is
+// uniform: no dead cohort is resident (its drop at the cursor changes the
+// ring) and the in-flight service is full. Requires an in-flight service.
+func (d *dpn) uniform() (round sim.Time, ok bool) {
+	for _, c := range d.ring {
+		if c.dead {
+			return 0, false
+		}
+		round += d.slowRound(c.quantum)
+	}
+	return round, d.fullInFlight()
+}
+
+// skipRotations applies, in closed form, every whole rotation whose
+// boundaries all lie at or before limit: inside an epoch each service is a
+// full quantum, so m rotations take m quanta off every cohort, charge
+// m·round busy time and restart ring[cur]'s service where the last of them
+// ends, in O(ring) instead of O(m·ring) boundary applications. It leaves
+// the ring untouched — for the stepwise loop to replay, or to die on —
+// when no whole rotation fits, the rotation is not uniform (see uniform),
+// or some cohort would run out of demand within the m rotations.
+func (d *dpn) skipRotations(limit sim.Time) {
+	if !d.busy || d.svcEnd > limit || !d.fullInFlight() {
+		return
+	}
+	gap := limit - d.svcEnd + d.svcElapsed
+	var round sim.Time
+	for _, c := range d.ring {
+		// Stop as soon as no whole rotation can fit, so a sync with only a
+		// few boundaries due costs no more than stepping them.
+		if round += d.slowRound(c.quantum); c.dead || round > gap {
+			return
+		}
+	}
+	m := gap / round
+	for _, c := range d.ring {
+		if c.remaining <= m*c.quantum {
+			return
+		}
+	}
+	for _, c := range d.ring {
+		c.remaining -= m * c.quantum
+	}
+	d.met.DPNBusy(d.id, m*round)
+	d.startService(d.svcEnd + m*round - d.svcElapsed)
+}
+
+// advanceTo replays every service boundary strictly before t: whole
+// rotations in closed form, then the remainder one boundary at a time.
+// Inside an epoch all such boundaries are full quanta or dead-cohort drops;
+// crossing a completion would mean the forecast missed a ring change,
+// which is a bug worth dying loudly for.
 func (d *dpn) advanceTo(t sim.Time) {
+	d.skipRotations(t - 1)
 	for d.busy && d.svcEnd < t {
 		if c := d.ring[d.cur]; !c.dead && c.remaining <= d.svcSlice {
 			panic(fmt.Sprintf("machine: dpn %d fast-forward crossed a completion at %v advancing to %v",
@@ -112,9 +174,56 @@ func (d *dpn) flush(t sim.Time) {
 	if d.stepped {
 		return
 	}
+	d.skipRotations(t)
 	for d.busy && d.svcEnd <= t {
 		d.applyBoundary()
 	}
+}
+
+// boundaryDue reports whether sync would apply the in-flight service's
+// boundary at the current calendar key: it lies before now, or at now with
+// a service start before the running event's priority.
+func (d *dpn) boundaryDue() bool {
+	now := d.eng.Now()
+	return !d.stepped && d.busy && (d.svcEnd < now || d.svcEnd == now && d.svcStart < d.eng.CurPrio())
+}
+
+// gauges returns the node's dpn%d_queue and dpn%d_busy_ms sampling gauges
+// — the resident cohort count and busy time sync would leave — without
+// replaying the ring. Ring membership cannot change inside an epoch, so the
+// count is len(ring); the busy time of the due boundaries is computed the
+// way sync applies them: whole rotations in closed form, then the
+// remaining boundaries' full quanta. It syncs first only when a boundary is
+// due and the rotation is not uniform; that replay is one the next arrival
+// or probe would make the same way (and, for a boundary booked before a
+// straggler toggle, records the tie-key anchor's dispatch stamp at the
+// tick, as observed runs always have).
+func (d *dpn) gauges() (resident int, busy sim.Time) {
+	if !d.boundaryDue() {
+		return len(d.ring), d.met.DPNBusyTime(d.id)
+	}
+	round, ok := d.uniform()
+	if !ok {
+		d.sync()
+		return len(d.ring), d.met.DPNBusyTime(d.id)
+	}
+	// Whole rotations whose boundaries all lie before now, as in
+	// skipRotations, then the due boundaries of the last partial one.
+	now, prio := d.eng.Now(), d.eng.CurPrio()
+	var pending sim.Time
+	if gap := now - 1 - d.svcEnd + d.svcElapsed; gap >= round {
+		pending = gap / round * round
+	}
+	end, elapsed := d.svcEnd+pending, d.svcElapsed
+	for i := d.cur; end < now || end == now && end-elapsed < prio; {
+		pending += elapsed
+		if i++; i == len(d.ring) {
+			i = 0
+		}
+		elapsed = d.slowRound(d.ring[i].quantum)
+		end += elapsed
+	}
+	return len(d.ring), d.met.DPNBusyTime(d.id) + pending
 }
 
 // ringChange (pre-bound as d.onRing) is the single fast-forward calendar

@@ -110,6 +110,7 @@ type Machine struct {
 	completed int
 	admitQ    []*exec
 	blocked   map[model.FileID][]*exec
+	nblocked  int // requests parked in blocked, summed over files
 	delayed   []*exec
 	// admitSpare/delayedSpare double-buffer the wake queues: a wake-up swaps
 	// the live queue for the (emptied) spare and iterates the old backing
@@ -300,9 +301,12 @@ func (m *Machine) SetObserver(o Observer) { m.obs = o }
 // transaction lifecycle, control-node jobs and DPN cohorts; counters,
 // gauges and histograms in o's registry; and the scheduler decision audit
 // where the scheduler supports it. Call before Run. A nil o is ignored —
-// the layer stays disabled and the instrumented paths reduce to nil checks,
-// leaving the event sequence (and thus the summary) identical to an
-// unobserved run.
+// the layer stays disabled and the instrumented paths reduce to nil checks.
+// Observation leaves the summary identical to an unobserved run: the
+// sampling ticks are calendar events of their own, and the gauges read
+// state without changing it. The DPN gauges compute what a ring replay
+// would show; they replay (as the next arrival or probe would) only when a
+// dead cohort is resident or a straggler-toggled boundary is due.
 func (m *Machine) SetObs(o *obs.Observer) {
 	if o == nil {
 		return
@@ -331,22 +335,18 @@ func (m *Machine) SetObs(o *obs.Observer) {
 		return v
 	})
 	o.Gauge("active_txns", func() float64 { return float64(m.active) })
-	o.Gauge("waiting_txns", func() float64 {
-		n := len(m.delayed)
-		for _, l := range m.blocked {
-			n += len(l)
-		}
-		return float64(n)
-	})
+	o.Gauge("waiting_txns", func() float64 { return float64(len(m.delayed) + m.nblocked) })
 	o.Gauge("cn_busy_ms", func() float64 { return m.met.CNBusyTime().Milliseconds() })
+	names := make([]string, 0, 2*len(m.dpns))
 	for i := range m.dpns {
-		i := i
-		o.Gauge(fmt.Sprintf("dpn%d_queue", i), func() float64 { return float64(m.dpns[i].queueLen()) })
-		o.Gauge(fmt.Sprintf("dpn%d_busy_ms", i), func() float64 {
-			m.dpns[i].sync() // replay fast-forwarded boundaries into the collector
-			return m.met.DPNBusyTime(i).Milliseconds()
-		})
+		names = append(names, fmt.Sprintf("dpn%d_queue", i), fmt.Sprintf("dpn%d_busy_ms", i))
 	}
+	o.Gauges(names, func(dst []float64) {
+		for i, d := range m.dpns {
+			n, busy := d.gauges()
+			dst[2*i], dst[2*i+1] = float64(n), busy.Milliseconds()
+		}
+	})
 	o.Audit().SetClock(m.eng.Now)
 	if a, ok := m.sch.(sched.Audited); ok {
 		a.SetAudit(o.Audit())
@@ -575,6 +575,7 @@ func (m *Machine) cnFinish(c cnCont) {
 		m.beginWait(e)
 		file := e.txn.CurrentStep().File
 		m.blocked[file] = append(m.blocked[file], e)
+		m.nblocked++
 	case contDelay:
 		c.e.phase = phDelayed
 		m.beginWait(c.e)
@@ -841,6 +842,7 @@ func (m *Machine) wakeCommit(t *model.Txn) {
 		// (requestLock only queues a CN job, so nothing re-blocks while the
 		// old list is being walked).
 		m.blocked[f] = list[:0]
+		m.nblocked -= len(list)
 		for i, e := range list {
 			list[i] = nil
 			m.requestLock(e)

@@ -164,6 +164,7 @@ func (m *Machine) removeWaiter(e *exec) {
 		for i, b := range list {
 			if b == e {
 				m.blocked[f] = append(list[:i], list[i+1:]...)
+				m.nblocked--
 				return
 			}
 		}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"batchsched/internal/sim"
@@ -152,6 +153,7 @@ func TestSampling(t *testing.T) {
 	c := o.Counter("events")
 	depth := 0.0
 	o.Gauge("depth", func() float64 { return depth })
+	o.Gauges([]string{"lo", "hi"}, func(dst []float64) { dst[0], dst[1] = depth-1, depth+1 })
 
 	// Model activity between ticks.
 	eng.ScheduleAt(4*sim.Millisecond, func(sim.Time) { c.Inc(); depth = 2 })
@@ -161,14 +163,14 @@ func TestSampling(t *testing.T) {
 	eng.RunUntil(25 * sim.Millisecond)
 	o.Finish(25 * sim.Millisecond)
 
-	if got, want := o.SampleHeader(), []string{"t_ms", "events", "depth"}; !reflect.DeepEqual(got, want) {
+	if got, want := o.SampleHeader(), []string{"t_ms", "events", "depth", "lo", "hi"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("header = %v, want %v", got, want)
 	}
 	want := [][]float64{
-		{0, 0, 0},  // tick at t=0, before any activity
-		{10, 1, 2}, // after the t=4 event
-		{20, 2, 5}, // after the t=17 event
-		{25, 2, 5}, // Finish's final sample at the horizon
+		{0, 0, 0, -1, 1}, // tick at t=0, before any activity
+		{10, 1, 2, 1, 3}, // after the t=4 event
+		{20, 2, 5, 4, 6}, // after the t=17 event
+		{25, 2, 5, 4, 6}, // Finish's final sample at the horizon
 	}
 	if got := o.Samples(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("samples = %v, want %v", got, want)
@@ -177,8 +179,48 @@ func TestSampling(t *testing.T) {
 	if !reflect.DeepEqual(ts, []float64{0, 10, 20, 25}) || !reflect.DeepEqual(vs, []float64{0, 2, 5, 5}) {
 		t.Fatalf("TimeSeries(depth) = %v / %v", ts, vs)
 	}
+	if ts, vs := o.TimeSeries("hi"); !reflect.DeepEqual(ts, []float64{0, 10, 20, 25}) || !reflect.DeepEqual(vs, []float64{1, 3, 6, 6}) {
+		t.Fatalf("TimeSeries(hi) = %v / %v", ts, vs)
+	}
 	if ts, vs := o.TimeSeries("nope"); ts != nil || vs != nil {
 		t.Fatal("TimeSeries of an unknown column returned data")
+	}
+}
+
+// TestSampleRowsAllocs pins the sampled-row store: a tick allocates
+// nothing while the current slab has room, and a slab refill allocates at
+// most twice (the slab, and now and then the row index's growth).
+func TestSampleRowsAllocs(t *testing.T) {
+	o := New()
+	o.Counter("events").Inc()
+	for _, name := range []string{"a", "b", "c", "d"} {
+		o.Gauge(name, func() float64 { return 1 })
+	}
+	now := sim.Time(0)
+	tick := func() {
+		now += sim.Millisecond
+		o.SampleNow(now)
+	}
+	mallocs := func(ticks int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ticks; i++ {
+			tick()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	tick() // the first row refills the slab
+	if n := mallocs(sampleBlock - 1); n != 0 {
+		t.Fatalf("%d allocations over the rest of a slab, want 0", n)
+	}
+	const slabs = 16
+	if n := mallocs(slabs * sampleBlock); n > 2*slabs {
+		t.Fatalf("%d allocations over %d slab refills, want <= %d", n, slabs, 2*slabs)
+	}
+	if got := len(o.Samples()); got != (slabs+1)*sampleBlock {
+		t.Fatalf("%d rows stored, want %d", got, (slabs+1)*sampleBlock)
 	}
 }
 

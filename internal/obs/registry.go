@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 
 	"batchsched/internal/sim"
@@ -97,20 +98,31 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
+// gaugeEntry is one registered gauge callback: fill writes one sampled
+// value per name, in order.
 type gaugeEntry struct {
-	name string
-	fn   func() float64
+	names []string
+	fill  func(dst []float64)
 }
 
 // registry holds the metric instruments and their sampled time-series.
 type registry struct {
 	counters []*Counter
 	gauges   []gaugeEntry
+	ncols    int // gauge columns: the names of every entry
 	hists    []*Histogram
 	// samples rows are [t_ms, counters..., gauges...] in registration
 	// order; registration is frozen by the first sample.
 	samples [][]float64
+	// slab is the unused tail of the block the next rows are carved from.
+	// Refilling it also reserves samples room for the block's rows, so a
+	// tick allocates nothing and a refill at most twice (the slab, and now
+	// and then the row index's amortized growth).
+	slab []float64
 }
+
+// sampleBlock is the number of sample rows one slab allocation holds.
+const sampleBlock = 32
 
 // Counter returns the named counter, creating it on first use. Disabled
 // observers return nil, which absorbs updates.
@@ -129,12 +141,26 @@ func (o *Observer) Counter(name string) *Counter {
 }
 
 // Gauge registers a sampled callback metric. The callback runs at every
-// sampling tick; it must be cheap and must not mutate simulation state.
+// sampling tick; it must be cheap, and it must not change what the
+// simulation does next: no events, no random draws, no state a later
+// decision reads. It may bring lazily replayed state up to date, since any
+// later reader would replay the same way.
 func (o *Observer) Gauge(name string, fn func() float64) {
 	if o == nil {
 		return
 	}
-	o.reg.gauges = append(o.reg.gauges, gaugeEntry{name: name, fn: fn})
+	o.Gauges([]string{name}, func(dst []float64) { dst[0] = fn() })
+}
+
+// Gauges registers len(names) sampled columns filled by one callback, for
+// a family of gauges that is cheaper to read together; fill writes dst[i]
+// for names[i]. The contract of Gauge applies.
+func (o *Observer) Gauges(names []string, fill func(dst []float64)) {
+	if o == nil {
+		return
+	}
+	o.reg.gauges = append(o.reg.gauges, gaugeEntry{names: names, fill: fill})
+	o.reg.ncols += len(names)
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it with the
@@ -179,13 +205,13 @@ func (o *Observer) SampleHeader() []string {
 	if o == nil {
 		return nil
 	}
-	out := make([]string, 0, 1+len(o.reg.counters)+len(o.reg.gauges))
+	out := make([]string, 0, 1+len(o.reg.counters)+o.reg.ncols)
 	out = append(out, "t_ms")
 	for _, c := range o.reg.counters {
 		out = append(out, c.name)
 	}
 	for _, g := range o.reg.gauges {
-		out = append(out, g.name)
+		out = append(out, g.names...)
 	}
 	return out
 }
@@ -223,13 +249,20 @@ func (o *Observer) TimeSeries(name string) (ts, vs []float64) {
 }
 
 func (r *registry) sample(now sim.Time) {
-	row := make([]float64, 0, 1+len(r.counters)+len(r.gauges))
+	w := 1 + len(r.counters) + r.ncols
+	if len(r.slab) < w {
+		r.slab = make([]float64, w*sampleBlock)
+		r.samples = slices.Grow(r.samples, sampleBlock)
+	}
+	row := r.slab[:0:w]
+	r.slab = r.slab[w:]
 	row = append(row, now.Milliseconds())
 	for _, c := range r.counters {
 		row = append(row, c.v)
 	}
 	for _, g := range r.gauges {
-		row = append(row, g.fn())
+		row = row[:len(row)+len(g.names)]
+		g.fill(row[len(row)-len(g.names):])
 	}
 	r.samples = append(r.samples, row)
 }
