@@ -188,6 +188,44 @@ func BenchmarkRunExp1GOW(b *testing.B) { benchExp1Run(b, "GOW", 0.60) }
 // BenchmarkRunExp1LOW measures a contended Exp-1 run under LOW at 0.58 TPS.
 func BenchmarkRunExp1LOW(b *testing.B) { benchExp1Run(b, "LOW", 0.58) }
 
+// Service-mode benchmarks: the Exp-1 machine behind streaming admission at
+// the default policy over 1,000,000 ms, GOW and LOW at 0.42 TPS, near their
+// sustained capacity — the perfbench sim-service configuration, and the only
+// Run* configs whose runs go through the admission epochs.
+
+func benchServiceRun(b *testing.B, scheduler string) {
+	b.Helper()
+	cfg := DefaultConfig()
+	pol := DefaultAdmitPolicy()
+	cfg.Service = &pol
+	cfg.ArrivalRate = 0.42
+	cfg.Duration = 1_000_000 * sim.Millisecond
+	gen := NewExp1Workload(16)
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		s, err := sched.New(scheduler, DefaultParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := machine.New(cfg, s, gen, sim.NewRNG(int64(i+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum := m.Run(); sum.Completions == 0 {
+			b.Fatal("no completions")
+		}
+		events += m.Engine().Executed()
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// BenchmarkRunServiceGOW measures a service-mode Exp-1 run under GOW.
+func BenchmarkRunServiceGOW(b *testing.B) { benchServiceRun(b, "GOW") }
+
+// BenchmarkRunServiceLOW measures a service-mode Exp-1 run under LOW.
+func BenchmarkRunServiceLOW(b *testing.B) { benchServiceRun(b, "LOW") }
+
 // Decision-engine benchmarks: the latency of one GOW/LOW lock-request
 // decision at a contended steady state (DESIGN.md §17). Both scenarios are
 // built so the scheduler answers Delay, which leaves the WTPG untouched —

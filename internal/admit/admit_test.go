@@ -27,7 +27,7 @@ func mustService(t *testing.T, p Policy) *Service {
 
 func arrive(t *testing.T, s *Service, id int64, class Class, at sim.Time) []Shed {
 	t.Helper()
-	sheds, _ := s.Arrive(&Item{ID: id, Class: class, Arrived: at})
+	sheds, _ := s.Arrive(&Item{ID: id, Class: class, Arrived: at}, nil)
 	return sheds
 }
 
@@ -110,7 +110,7 @@ func TestExpireShedsOverdueOnly(t *testing.T) {
 	arrive(t, s, 2, Batch, 0)                   // deadline 120s
 	arrive(t, s, 3, Interactive, 50*sim.Second) // deadline 60s
 
-	sheds := s.Expire(61 * sim.Second) // ids 1 and 3 overdue
+	sheds := s.Expire(61*sim.Second, nil) // ids 1 and 3 overdue
 	if len(sheds) != 2 || sheds[0].Item.ID != 1 || sheds[1].Item.ID != 3 {
 		t.Fatalf("expire: %+v", sheds)
 	}
@@ -127,7 +127,7 @@ func TestExpireShedsOverdueOnly(t *testing.T) {
 	p.ShedOverdue = false
 	s2 := mustService(t, p)
 	arrive(t, s2, 1, Interactive, 0)
-	if sheds := s2.Expire(NoDeadline - 1); len(sheds) != 0 {
+	if sheds := s2.Expire(NoDeadline-1, nil); len(sheds) != 0 {
 		t.Fatalf("expire with ShedOverdue off shed %d", len(sheds))
 	}
 }
@@ -140,7 +140,7 @@ func TestZeroSLOMeansNoDeadline(t *testing.T) {
 	if s.q[0].Deadline != NoDeadline {
 		t.Fatalf("deadline: %v", s.q[0].Deadline)
 	}
-	if sheds := s.Expire(NoDeadline - 1); len(sheds) != 0 {
+	if sheds := s.Expire(NoDeadline-1, nil); len(sheds) != 0 {
 		t.Fatalf("NoDeadline item expired: %v", sheds)
 	}
 }
@@ -150,7 +150,7 @@ func TestDrainShedsEverything(t *testing.T) {
 	for i := int64(1); i <= 3; i++ {
 		arrive(t, s, i, Batch, 0)
 	}
-	sheds := s.Drain(5 * sim.Second)
+	sheds := s.Drain(5*sim.Second, nil)
 	if len(sheds) != 3 || s.Depth() != 0 {
 		t.Fatalf("drain: %d sheds, depth %d", len(sheds), s.Depth())
 	}
@@ -189,12 +189,12 @@ func TestOverloadHysteresis(t *testing.T) {
 	if !s.Overloaded() {
 		t.Fatal("not overloaded after p95 breach")
 	}
-	sheds, accepted := s.Arrive(&Item{ID: 100, Class: Batch, Arrived: 61 * sim.Second})
+	sheds, accepted := s.Arrive(&Item{ID: 100, Class: Batch, Arrived: 61 * sim.Second}, nil)
 	if accepted || len(sheds) != 1 || sheds[0].Reason != ShedOverload {
 		t.Fatalf("batch arrival under overload: accepted=%v sheds=%+v", accepted, sheds)
 	}
 	// Interactive arrivals still get in.
-	if _, accepted := s.Arrive(&Item{ID: 101, Class: Interactive, Arrived: 61 * sim.Second}); !accepted {
+	if _, accepted := s.Arrive(&Item{ID: 101, Class: Interactive, Arrived: 61 * sim.Second}, nil); !accepted {
 		t.Fatal("interactive arrival shed under overload")
 	}
 	s.Pop(62 * sim.Second)

@@ -2,7 +2,7 @@ package admit
 
 import (
 	"container/heap"
-	"sort"
+	"slices"
 
 	"batchsched/internal/sim"
 )
@@ -17,11 +17,12 @@ type Service struct {
 	seq   uint64
 	stats Stats
 
-	// Sliding admission-sojourn window (ring buffer) and its sort scratch.
-	soj      []sim.Time
-	sojNext  int
-	sojCount int
-	scratch  []sim.Time
+	// Sliding admission-sojourn window: soj is the ring in arrival order
+	// (sojNext is the slot the next sample overwrites), sorted the same
+	// samples in ascending order, so the p95 is a read, not a sort.
+	soj     []sim.Time
+	sojNext int
+	sorted  []sim.Time
 
 	overload bool
 }
@@ -35,9 +36,9 @@ func NewService(pol Policy) (*Service, error) {
 		pol.SojournWindow = 128
 	}
 	return &Service{
-		pol:     pol,
-		soj:     make([]sim.Time, pol.SojournWindow),
-		scratch: make([]sim.Time, 0, pol.SojournWindow),
+		pol:    pol,
+		soj:    make([]sim.Time, pol.SojournWindow),
+		sorted: make([]sim.Time, 0, pol.SojournWindow),
 	}, nil
 }
 
@@ -57,26 +58,27 @@ func (s *Service) Stats() Stats { return s.stats }
 func (s *Service) NoteEviction() { s.stats.Evictions++ }
 
 // Arrive offers one arrival to the queue (Item.Arrived must be set; a zero
-// Deadline is filled from the policy). The returned sheds are the
-// transactions turned away as a consequence — the offered item itself
-// (overload control, or queue full with nothing later-deadlined queued) or
-// a displaced queued item. accepted reports whether the offered item is now
-// queued.
-func (s *Service) Arrive(it *Item) (sheds []Shed, accepted bool) {
+// Deadline is filled from the policy). The transactions turned away as a
+// consequence — the offered item itself (overload control, or queue full
+// with nothing later-deadlined queued) or a displaced queued item — are
+// appended to sheds, which is returned; callers pass a reused buffer so an
+// arrival allocates nothing. accepted reports whether the offered item is
+// now queued.
+func (s *Service) Arrive(it *Item, sheds []Shed) (_ []Shed, accepted bool) {
 	s.stats.Arrivals++
 	if it.Deadline == 0 {
 		it.Deadline = s.pol.Deadline(it.Class, it.Arrived)
 	}
 	if s.overload && it.Class == Batch {
 		s.shed(it, ShedOverload)
-		return []Shed{{Item: it, Reason: ShedOverload}}, false
+		return append(sheds, Shed{Item: it, Reason: ShedOverload}), false
 	}
 	if len(s.q) >= s.pol.MaxQueue {
 		w := s.worst()
 		if w == nil || !later(w, it) {
 			// Nothing queued is worse: the arrival itself is the victim.
 			s.shed(it, ShedQueueFull)
-			return []Shed{{Item: it, Reason: ShedQueueFull}}, false
+			return append(sheds, Shed{Item: it, Reason: ShedQueueFull}), false
 		}
 		heap.Remove(&s.q, w.pos)
 		s.shed(w, ShedQueueFull)
@@ -105,12 +107,11 @@ func (s *Service) Pop(now sim.Time) (it *Item, ok bool) {
 }
 
 // Expire sheds every queued item whose deadline has lapsed (no-op unless
-// Policy.ShedOverdue).
-func (s *Service) Expire(now sim.Time) []Shed {
+// Policy.ShedOverdue), appending them to out, which is returned.
+func (s *Service) Expire(now sim.Time, out []Shed) []Shed {
 	if !s.pol.ShedOverdue {
-		return nil
+		return out
 	}
-	var out []Shed
 	for len(s.q) > 0 && s.q[0].Deadline < now {
 		it := heap.Pop(&s.q).(*Item)
 		s.shed(it, ShedDeadline)
@@ -119,9 +120,9 @@ func (s *Service) Expire(now sim.Time) []Shed {
 	return out
 }
 
-// Drain sheds everything still queued (service shutdown).
-func (s *Service) Drain(now sim.Time) []Shed {
-	var out []Shed
+// Drain sheds everything still queued (service shutdown), appending it to
+// out, which is returned.
+func (s *Service) Drain(now sim.Time, out []Shed) []Shed {
 	for len(s.q) > 0 {
 		it := heap.Pop(&s.q).(*Item)
 		s.shed(it, ShedDrain)
@@ -150,30 +151,33 @@ func (s *Service) EndEpoch(now sim.Time) {
 }
 
 // P95Sojourn returns the nearest-rank p95 of the sliding admission-sojourn
-// window (0 with no samples).
+// window (0 with no samples): one read of the sorted window.
 func (s *Service) P95Sojourn() sim.Time {
-	n := s.sojCount
+	n := len(s.sorted)
 	if n == 0 {
 		return 0
 	}
-	s.scratch = append(s.scratch[:0], s.soj[:n]...)
-	sort.Slice(s.scratch, func(i, j int) bool { return s.scratch[i] < s.scratch[j] })
-	idx := (n*95+99)/100 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s.scratch[idx]
+	return s.sorted[(n*95+99)/100-1]
 }
 
+// observeSojourn adds one sample (negative durations count as 0) to the
+// window. Once the ring is full, the sample it overwrites leaves the sorted
+// copy first; both edits are a binary search and one copy of the tail.
 func (s *Service) observeSojourn(d sim.Time) {
 	if d < 0 {
 		d = 0
 	}
+	if n := len(s.sorted); n == len(s.soj) {
+		i, _ := slices.BinarySearch(s.sorted, s.soj[s.sojNext])
+		copy(s.sorted[i:], s.sorted[i+1:])
+		s.sorted = s.sorted[:n-1]
+	}
+	i, _ := slices.BinarySearch(s.sorted, d)
+	s.sorted = s.sorted[:len(s.sorted)+1]
+	copy(s.sorted[i+1:], s.sorted[i:])
+	s.sorted[i] = d
 	s.soj[s.sojNext] = d
 	s.sojNext = (s.sojNext + 1) % len(s.soj)
-	if s.sojCount < len(s.soj) {
-		s.sojCount++
-	}
 }
 
 func (s *Service) shed(it *Item, reason ShedReason) {

@@ -101,7 +101,7 @@ func (l *DecisionLog) AuditMarks() []int { return l.marks }
 
 func (l *DecisionLog) push(e DecisionEntry) {
 	l.entries = append(l.entries, e)
-	l.marks = append(l.marks, len(l.audit.Entries()))
+	l.marks = append(l.marks, l.audit.Len())
 }
 
 // Name implements sched.Scheduler.

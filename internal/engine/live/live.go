@@ -158,6 +158,7 @@ type texec struct {
 	admitted bool
 	class    admit.Class // service class (service mode only)
 	run      *liveRun
+	item     admit.Item // admission-queue entry (service mode only)
 
 	txnSpan    obs.SpanID
 	admitSpan  obs.SpanID
@@ -195,6 +196,7 @@ type Backend struct {
 	obs engine.Observer
 
 	ob          *obs.Observer
+	spanKinds   obs.Lifecycle
 	obsGrant    *obs.Counter
 	obsBlock    *obs.Counter
 	obsDelay    *obs.Counter
@@ -224,6 +226,7 @@ type Backend struct {
 	epochPrev     admit.Stats
 	epochRTs      []sim.Time
 	epochHook     func(admit.EpochStats)
+	shedBuf       []admit.Shed // Arrive/Expire/Drain shed lists, reused
 	strSheds      *stream.Rate
 	strQueueDepth *stream.Gauge
 	strSojournUS  *stream.Gauge
@@ -310,6 +313,7 @@ func (b *Backend) SetObs(o *obs.Observer) {
 		return
 	}
 	b.ob = o
+	b.spanKinds = o.LifecycleKinds()
 	b.obsGrant = o.Counter("grants")
 	b.obsBlock = o.Counter("blocks")
 	b.obsDelay = o.Counter("delays")
@@ -504,7 +508,7 @@ func (b *Backend) Run() metrics.Summary {
 	for _, e := range b.txns {
 		b.met.Arrival(b.clk.Now())
 		if b.ob.Enabled() {
-			e.txnSpan = b.ob.Begin("txn", "txn", e.txn.ID, -1, -1, 0, b.clk.Now())
+			e.txnSpan = b.ob.Begin(b.spanKinds.Txn, e.txn.ID, -1, -1, 0, b.clk.Now())
 		}
 		b.jobs = append(b.jobs, liveJob{op: opAdmit, e: e})
 	}
@@ -606,7 +610,7 @@ func (b *Backend) processAdmit(e *texec) {
 
 func (b *Backend) parkAdmit(e *texec) {
 	if b.ob.Enabled() && e.admitSpan == 0 {
-		e.admitSpan = b.ob.Begin("admit-wait", "txn", e.txn.ID, -1, -1, e.txnSpan, b.clk.Now())
+		e.admitSpan = b.ob.Begin(b.spanKinds.AdmitWait, e.txn.ID, -1, -1, e.txnSpan, b.clk.Now())
 	}
 	b.admitQ = append(b.admitQ, e)
 }
@@ -614,7 +618,7 @@ func (b *Backend) parkAdmit(e *texec) {
 func (b *Backend) nextStep(e *texec) {
 	if e.txn.Done() {
 		if b.ob.Enabled() {
-			e.commitSpan = b.ob.Begin("commit", "txn", e.txn.ID, -1, -1, e.txnSpan, b.clk.Now())
+			e.commitSpan = b.ob.Begin(b.spanKinds.Commit, e.txn.ID, -1, -1, e.txnSpan, b.clk.Now())
 		}
 		b.jobs = append(b.jobs, liveJob{op: opCommit, e: e})
 		return
@@ -631,7 +635,7 @@ func (b *Backend) processRequest(e *texec) {
 		b.mark(b.strGrants)
 		b.endWait(e)
 		if b.ob.Enabled() {
-			e.stepSpan = b.ob.Begin("execute", "txn", e.txn.ID, -1,
+			e.stepSpan = b.ob.Begin(b.spanKinds.Execute, e.txn.ID, -1,
 				e.txn.StepIndex, e.txnSpan, b.clk.Now())
 		}
 		b.executeStep(e)
@@ -673,7 +677,7 @@ func (b *Backend) beginWait(e *texec) {
 		return
 	}
 	e.waitSince = b.clk.Now()
-	e.waitSpan = b.ob.Begin("lock-wait", "txn", e.txn.ID, -1,
+	e.waitSpan = b.ob.Begin(b.spanKinds.LockWait, e.txn.ID, -1,
 		e.txn.StepIndex, e.txnSpan, e.waitSince)
 }
 
@@ -714,7 +718,7 @@ func (b *Backend) executeStep(e *texec) {
 
 func (b *Backend) handleCompletion(c completion) {
 	if b.ob.Enabled() {
-		sp := b.ob.Begin("cohort", "io", c.run.e.txn.ID, c.node,
+		sp := b.ob.Begin(b.spanKinds.Cohort, c.run.e.txn.ID, c.node,
 			c.run.e.txn.StepIndex, c.run.e.stepSpan, c.start)
 		b.ob.End(sp, c.end)
 	}

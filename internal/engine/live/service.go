@@ -2,7 +2,7 @@ package live
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"batchsched/internal/admit"
@@ -163,9 +163,7 @@ func (b *Backend) RunService(gen workload.Generator, arr workload.Arrivals, seed
 				arrivalsOpen = false
 				arrivalQ = nil
 				now := b.clk.Now()
-				for _, sh := range b.svc.Drain(now) {
-					b.shedTexec(sh)
-				}
+				b.shedAll(b.svc.Drain(now, b.shedBuf[:0]))
 				b.fillWindowLive(now) // nothing queued, but parked retries may proceed
 				continue
 			}
@@ -216,13 +214,20 @@ func (b *Backend) svcOffer(a svcArrival) {
 	t := model.NewTxn(b.nextID, now, a.steps)
 	e := &texec{txn: t, class: a.class}
 	if b.ob.Enabled() {
-		e.txnSpan = b.ob.Begin("txn", "txn", t.ID, -1, -1, 0, now)
+		e.txnSpan = b.ob.Begin(b.spanKinds.Txn, t.ID, -1, -1, 0, now)
 	}
-	it := &admit.Item{ID: t.ID, Class: a.class, Arrived: now, Payload: e}
-	sheds, _ := b.svc.Arrive(it)
+	e.item = admit.Item{ID: t.ID, Class: a.class, Arrived: now, Payload: e}
+	sheds, _ := b.svc.Arrive(&e.item, b.shedBuf[:0])
+	b.shedAll(sheds)
+}
+
+// shedAll retires every shed of one admission call and keeps the list's
+// storage for the next call.
+func (b *Backend) shedAll(sheds []admit.Shed) {
 	for _, sh := range sheds {
 		b.shedTexec(sh)
 	}
+	b.shedBuf = sheds[:0]
 }
 
 // shedTexec retires a turned-away transaction (live analogue of
@@ -250,9 +255,7 @@ func (b *Backend) shedTexec(sh admit.Shed) {
 // optional eviction, window refill, stats emission.
 func (b *Backend) runEpochLive() {
 	now := b.clk.Now()
-	for _, sh := range b.svc.Expire(now) {
-		b.shedTexec(sh)
-	}
+	b.shedAll(b.svc.Expire(now, b.shedBuf[:0]))
 	b.svc.EndEpoch(now)
 	if b.svc.Overloaded() && b.cfg.Service.EvictOnOverload {
 		b.evictOneLive()
@@ -371,7 +374,7 @@ func (b *Backend) emitEpochLive(now sim.Time) {
 		Cum:         cum,
 	}
 	if n := len(b.epochRTs); n > 0 {
-		sort.Slice(b.epochRTs, func(i, j int) bool { return b.epochRTs[i] < b.epochRTs[j] })
+		slices.Sort(b.epochRTs)
 		var sum sim.Time
 		for _, rt := range b.epochRTs {
 			sum += rt

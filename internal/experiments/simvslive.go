@@ -111,8 +111,15 @@ func simVsLiveLive(cell SimVsLiveCell, name string, batch [][]model.Step) (float
 	return sum.TPS, nil
 }
 
+// simVsLiveReps is how often each live batch runs. One wall-clock batch is
+// a noisy throughput sample on a shared host, so a scheduler's live TPS is
+// the median of its runs, and the runs are interleaved round-robin across
+// schedulers so that a slow stretch of the host hits all of them alike.
+const simVsLiveReps = 5
+
 // RunSimVsLive runs every scheduler of the comparison set over every grid
-// cell on both backends, one shared batch of n transactions per cell.
+// cell on both backends, one shared batch of n transactions per cell: once
+// on the (deterministic) simulator, simVsLiveReps times on the live backend.
 func RunSimVsLive(seed int64, n int) ([]SimVsLiveResult, error) {
 	var out []SimVsLiveResult
 	for _, cell := range SimVsLiveGrid {
@@ -122,17 +129,26 @@ func RunSimVsLive(seed int64, n int) ([]SimVsLiveResult, error) {
 			SimTPS:  make(map[string]float64),
 			LiveTPS: make(map[string]float64),
 		}
+		runs := make(map[string][]float64)
 		for _, name := range SimVsLiveSchedulers {
 			st, err := simVsLiveSim(cell, name, batch)
 			if err != nil {
 				return nil, err
 			}
-			lt, err := simVsLiveLive(cell, name, batch)
-			if err != nil {
-				return nil, err
-			}
 			r.SimTPS[name] = st
-			r.LiveTPS[name] = lt
+		}
+		for rep := 0; rep < simVsLiveReps; rep++ {
+			for _, name := range SimVsLiveSchedulers {
+				lt, err := simVsLiveLive(cell, name, batch)
+				if err != nil {
+					return nil, err
+				}
+				runs[name] = append(runs[name], lt)
+			}
+		}
+		for name, tps := range runs {
+			sort.Float64s(tps)
+			r.LiveTPS[name] = tps[len(tps)/2]
 		}
 		out = append(out, r)
 	}

@@ -23,7 +23,7 @@ const (
 )
 
 // cnOpNames label the CN job spans of the observability layer, indexed by
-// cnOp (precomputed so tracing allocates no strings per job).
+// cnOp; SetObs registers one span kind per name.
 var cnOpNames = [...]string{
 	opClosure:  "cn:closure",
 	opAdmit:    "cn:admit",
@@ -91,8 +91,10 @@ type controlNode struct {
 	onDone  sim.Handler
 
 	// ob records one span per job service when observability is enabled
-	// (nil Observer = disabled, zero cost); curSpan is the in-flight job's.
+	// (nil Observer = disabled, zero cost); opKinds are the span kinds of
+	// cnOpNames, curSpan is the in-flight job's.
 	ob      *obs.Observer
+	opKinds [len(cnOpNames)]obs.SpanKind
 	curSpan obs.SpanID
 }
 
@@ -147,7 +149,7 @@ func (c *controlNode) next() {
 		if job.e != nil {
 			txn = job.e.txn.ID
 		}
-		c.curSpan = c.ob.Begin(cnOpNames[job.op], "cn", txn, -1, -1, 0, c.eng.Now())
+		c.curSpan = c.ob.Begin(c.opKinds[job.op], txn, -1, -1, 0, c.eng.Now())
 	}
 	var cpu sim.Time
 	var cont cnCont

@@ -58,6 +58,11 @@ type dpn struct {
 
 	// down marks a crashed node; the machine refuses deliveries to it.
 	down bool
+	// cohortKind is the span kind of the cohort spans ob records. It sits
+	// in the padding after the flags: one more word would take the node
+	// past the 320-byte size class, and the node's hot fields would no
+	// longer start on a cache line in every object.
+	cohortKind obs.SpanKind
 	// slow is the straggler service-time multiplier (0 or 1 = nominal).
 	slow float64
 	// pending is the in-progress quantum's completion event (stepped
@@ -112,7 +117,8 @@ type dpn struct {
 	// pin replay to O(ring) per sync.
 	boundaries int
 
-	// ob records cohort residency spans when observability is enabled.
+	// ob records cohort residency spans, of kind cohortKind, when
+	// observability is enabled.
 	ob *obs.Observer
 }
 
@@ -135,7 +141,7 @@ func (d *dpn) add(c *cohort) {
 	d.sync()
 	if d.ob.Enabled() && c.run != nil {
 		t := c.run.e.txn
-		c.span = d.ob.Begin("cohort", "io", t.ID, d.id, t.StepIndex,
+		c.span = d.ob.Begin(d.cohortKind, t.ID, d.id, t.StepIndex,
 			c.run.e.stepSpan, d.eng.Now())
 	}
 	d.ring = append(d.ring, c)

@@ -49,6 +49,7 @@ type exec struct {
 	admitted     bool
 	class        admit.Class // service class (service mode only)
 	run          *stepRun    // current step dispatch, while phRunning
+	item         admit.Item  // admission-queue entry (service mode only)
 
 	// Observability state (all zero when the observer is disabled): the
 	// transaction's lifecycle span and its currently open phase spans.
@@ -80,6 +81,7 @@ type Machine struct {
 	// one pointer check and no allocation. The derived instruments are
 	// nil exactly when ob is nil.
 	ob          *obs.Observer
+	spanKinds   obs.Lifecycle
 	obsGrant    *obs.Counter
 	obsBlock    *obs.Counter
 	obsDelay    *obs.Counter
@@ -129,6 +131,7 @@ type Machine struct {
 	// epoch's batch here so AdmitScreener schedulers can prescreen it.
 	fillBuf   []*exec
 	screenBuf []*model.Txn
+	shedBuf   []admit.Shed // Arrive/Expire shed lists, reused
 
 	// Hot-path free lists (zero steady-state allocations per event): spent
 	// stepRuns and their cohorts are recycled when a step completes cleanly,
@@ -312,9 +315,14 @@ func (m *Machine) SetObs(o *obs.Observer) {
 		return
 	}
 	m.ob = o
+	m.spanKinds = o.LifecycleKinds()
 	m.cn.ob = o
+	for op, name := range cnOpNames {
+		m.cn.opKinds[op] = o.Kind(name, "cn")
+	}
 	for _, d := range m.dpns {
 		d.ob = o
+		d.cohortKind = m.spanKinds.Cohort
 	}
 	m.obsGrant = o.Counter("grants")
 	m.obsBlock = o.Counter("blocks")
@@ -436,7 +444,7 @@ func (m *Machine) arrive(t *model.Txn) {
 	m.met.Arrival(m.eng.Now())
 	e := m.newExec(t)
 	if m.ob.Enabled() {
-		e.txnSpan = m.ob.Begin("txn", "txn", t.ID, -1, -1, 0, m.eng.Now())
+		e.txnSpan = m.ob.Begin(m.spanKinds.Txn, t.ID, -1, -1, 0, m.eng.Now())
 	}
 	if m.svc != nil {
 		m.svcArrive(e)
@@ -480,7 +488,7 @@ func (m *Machine) admitBody(e *exec) (sim.Time, cnCont) {
 func (m *Machine) parkAdmit(e *exec) {
 	e.phase = phAdmit
 	if m.ob.Enabled() && e.admitSpan == 0 {
-		e.admitSpan = m.ob.Begin("admit-wait", "txn", e.txn.ID, -1, -1, e.txnSpan, m.eng.Now())
+		e.admitSpan = m.ob.Begin(m.spanKinds.AdmitWait, e.txn.ID, -1, -1, e.txnSpan, m.eng.Now())
 	}
 	m.admitQ = append(m.admitQ, e)
 }
@@ -562,7 +570,7 @@ func (m *Machine) cnFinish(c cnCont) {
 		e := c.e
 		m.endWait(e)
 		if m.ob.Enabled() {
-			e.stepSpan = m.ob.Begin("execute", "txn", e.txn.ID, -1,
+			e.stepSpan = m.ob.Begin(m.spanKinds.Execute, e.txn.ID, -1,
 				e.txn.StepIndex, e.txnSpan, m.eng.Now())
 		}
 		m.executeStep(e)
@@ -621,7 +629,7 @@ func (m *Machine) beginWait(e *exec) {
 		return
 	}
 	e.waitSince = m.eng.Now()
-	e.waitSpan = m.ob.Begin("lock-wait", "txn", e.txn.ID, -1,
+	e.waitSpan = m.ob.Begin(m.spanKinds.LockWait, e.txn.ID, -1,
 		e.txn.StepIndex, e.txnSpan, e.waitSince)
 }
 
@@ -762,7 +770,7 @@ func (m *Machine) stepDone(run *stepRun) {
 func (m *Machine) commit(e *exec) {
 	e.phase = phAtCN
 	if m.ob.Enabled() {
-		e.commitSpan = m.ob.Begin("commit", "txn", e.txn.ID, -1, -1,
+		e.commitSpan = m.ob.Begin(m.spanKinds.Commit, e.txn.ID, -1, -1,
 			e.txnSpan, m.eng.Now())
 	}
 	m.cn.submit(cnJob{op: opCommit, e: e})

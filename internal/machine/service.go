@@ -1,7 +1,7 @@
 package machine
 
 import (
-	"sort"
+	"slices"
 
 	"batchsched/internal/admit"
 	"batchsched/internal/sched"
@@ -27,11 +27,18 @@ func (m *Machine) svcArrive(e *exec) {
 	now := m.eng.Now()
 	e.class = m.svc.Policy().PickClass(m.classRNG)
 	e.phase = phQueued
-	it := &admit.Item{ID: e.txn.ID, Class: e.class, Arrived: now, Payload: e}
-	sheds, _ := m.svc.Arrive(it)
+	e.item = admit.Item{ID: e.txn.ID, Class: e.class, Arrived: now, Payload: e}
+	sheds, _ := m.svc.Arrive(&e.item, m.shedBuf[:0])
+	m.shedAll(sheds)
+}
+
+// shedAll retires every shed of one admission call and keeps the list's
+// storage for the next call.
+func (m *Machine) shedAll(sheds []admit.Shed) {
 	for _, sh := range sheds {
 		m.shedExec(sh)
 	}
+	m.shedBuf = sheds[:0]
 }
 
 // shedExec retires a turned-away transaction: count it, close its span, and
@@ -60,9 +67,7 @@ func (m *Machine) shedExec(sh admit.Shed) {
 // runEpoch is the epoch-boundary event: expiry, overload control, optional
 // eviction, window refill, stats emission, and rescheduling.
 func (m *Machine) runEpoch(now sim.Time) {
-	for _, sh := range m.svc.Expire(now) {
-		m.shedExec(sh)
-	}
+	m.shedAll(m.svc.Expire(now, m.shedBuf[:0]))
 	m.svc.EndEpoch(now)
 	if m.svc.Overloaded() && m.svc.Policy().EvictOnOverload {
 		m.evictOne()
@@ -194,7 +199,7 @@ func (m *Machine) emitEpoch(now sim.Time) {
 		Cum:         cum,
 	}
 	if n := len(m.epochRTs); n > 0 {
-		sort.Slice(m.epochRTs, func(i, j int) bool { return m.epochRTs[i] < m.epochRTs[j] })
+		slices.Sort(m.epochRTs)
 		var sum sim.Time
 		for _, rt := range m.epochRTs {
 			sum += rt

@@ -72,20 +72,18 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 
 	// Process-name metadata for every pid in use, ascending.
 	pids := map[int]string{}
-	for _, blk := range o.spans {
-		for _, sp := range blk {
-			pid, _ := tracePlacement(sp)
-			if _, ok := pids[pid]; ok {
-				continue
-			}
-			switch {
-			case pid == pidTxn:
-				pids[pid] = "transactions"
-			case pid == pidCN:
-				pids[pid] = "control-node"
-			default:
-				pids[pid] = "dpn-" + strconv.Itoa(pid-pidDPNBase)
-			}
+	for i := 0; i < o.nspans; i++ {
+		pid, _ := tracePlacement(o.view(o.rec(i)))
+		if _, ok := pids[pid]; ok {
+			continue
+		}
+		switch {
+		case pid == pidTxn:
+			pids[pid] = "transactions"
+		case pid == pidCN:
+			pids[pid] = "control-node"
+		default:
+			pids[pid] = "dpn-" + strconv.Itoa(pid-pidDPNBase)
 		}
 	}
 	for pid := 0; len(pids) > 0 && pid <= maxKey(pids); pid++ {
@@ -103,26 +101,25 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 		delete(pids, pid)
 	}
 
-	for _, blk := range o.spans {
-		for _, sp := range blk {
-			pid, tid := tracePlacement(sp)
-			ev := traceEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "X",
-				TS: int64(sp.Start), Dur: int64(sp.Duration()),
-				Pid: pid, Tid: tid,
+	for i := 0; i < o.nspans; i++ {
+		sp := o.view(o.rec(i))
+		pid, tid := tracePlacement(sp)
+		ev := traceEvent{
+			Name: sp.Name, Cat: sp.Cat, Ph: "X",
+			TS: int64(sp.Start), Dur: int64(sp.Duration()),
+			Pid: pid, Tid: tid,
+		}
+		if sp.Txn != 0 || sp.Extra >= 0 {
+			ev.Args = map[string]string{}
+			if sp.Txn != 0 {
+				ev.Args["txn"] = strconv.FormatInt(sp.Txn, 10)
 			}
-			if sp.Txn != 0 || sp.Extra >= 0 {
-				ev.Args = map[string]string{}
-				if sp.Txn != 0 {
-					ev.Args["txn"] = strconv.FormatInt(sp.Txn, 10)
-				}
-				if sp.Extra >= 0 {
-					ev.Args["step"] = strconv.Itoa(int(sp.Extra))
-				}
+			if sp.Extra >= 0 {
+				ev.Args["step"] = strconv.Itoa(int(sp.Extra))
 			}
-			if err := emit(ev); err != nil {
-				return err
-			}
+		}
+		if err := emit(ev); err != nil {
+			return err
 		}
 	}
 	if _, err := io.WriteString(bw, `],"displayTimeUnit":"ms"}`+"\n"); err != nil {
@@ -173,8 +170,8 @@ func (o *Observer) WriteMetricsCSV(w io.Writer) error {
 		bw.WriteString(h)
 	}
 	bw.WriteByte('\n')
-	for _, row := range o.reg.samples {
-		for i, v := range row {
+	for r := 0; r < o.reg.nrows; r++ {
+		for i, v := range o.reg.row(r) {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
@@ -204,8 +201,8 @@ func (o *Observer) WriteAuditJSONL(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range o.audit.entries {
-		if err := enc.Encode(e); err != nil {
+	for i := 0; i < o.audit.n; i++ {
+		if err := enc.Encode(o.audit.entry(i)); err != nil {
 			return err
 		}
 	}

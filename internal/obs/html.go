@@ -97,7 +97,7 @@ func (o *Observer) HTMLSections(label string) []string {
 		out = append(out, t.HTML())
 	}
 
-	if n := len(o.audit.entries); n > 0 {
+	if n := o.audit.n; n > 0 {
 		out = append(out, fmt.Sprintf("<p class=\"note\">%d audited scheduler decisions (export with --audit for the full JSONL log).</p>", n))
 	}
 	return out

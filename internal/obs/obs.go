@@ -27,8 +27,15 @@ import (
 // a disabled observer returns, so callers can thread ids around untested.
 type SpanID int32
 
+// SpanKind is a registered (name, category) pair of one Observer (see
+// Kind). Recorders register their kinds once, when they attach the
+// observer, and pass the kind to every Begin.
+type SpanKind int32
+
 // Span is one interval of virtual time: a transaction lifecycle phase, a
 // cohort's residency at a data-processing node, or one control-node job.
+// Spans are stored as pointer-free records (spanRec); Span is the exported
+// view of one, built by Spans and the exporters.
 type Span struct {
 	// Name is the phase name ("txn", "lock-wait", "execute", "cohort",
 	// "cn:request", ...).
@@ -58,15 +65,32 @@ func (s Span) Duration() sim.Time {
 	return s.End - s.Start
 }
 
+// spanRec is the stored form of a Span: the name and category are one
+// index into the observer's kind table, so a record holds no pointers — the
+// garbage collector never scans the span store, and filling a record needs
+// no write barrier.
+type spanRec struct {
+	start, end sim.Time
+	txn        int64
+	parent     SpanID
+	kind       SpanKind
+	node       int32
+	extra      int32
+}
+
+// spanKind is one entry of the kind table.
+type spanKind struct{ name, cat string }
+
 // Observer is the recording half of the layer. Create with New; a nil
 // Observer is the disabled layer (all methods no-op).
 type Observer struct {
-	// spans holds the recording in fixed blocks of spanBlock spans, filled
-	// in order (only the last block is partial): appending a span never
-	// copies earlier ones, and SpanID n lives at index n-1 of the
-	// concatenation.
-	spans  [][]Span
+	// spans holds the recording in fixed blocks of spanBlock records,
+	// filled in order (only the last block is partial): appending a span
+	// never copies earlier ones, and SpanID n is record n-1.
+	spans  []*[spanBlock]spanRec
 	nspans int
+	open   int // spans not yet ended
+	kinds  []spanKind
 	reg    registry
 	audit  Audit
 
@@ -84,9 +108,10 @@ type Observer struct {
 	clampedSamples  atomic.Int64
 }
 
-// spanBlock is the number of spans per storage block: one allocation per
-// 1024 spans, and no growslice copy of the recording as it grows.
-const spanBlock = 1024
+// spanBlock is the number of spans per storage block: one 10 KiB
+// allocation (a small-object size class) per 256 spans, and no growslice
+// copy of the recording as it grows.
+const spanBlock = 256
 
 // DefaultSampleInterval is the metrics sampling period of a fresh Observer.
 const DefaultSampleInterval = 1000 * sim.Millisecond
@@ -108,24 +133,69 @@ func (o *Observer) SetSampleInterval(d sim.Time) {
 	o.interval = d
 }
 
-// Begin opens a span at virtual time at and returns its id. node and extra
-// may be -1; parent may be 0.
-func (o *Observer) Begin(name, cat string, txn int64, node, extra int, parent SpanID, at sim.Time) SpanID {
+// Kind returns the span kind of (name, cat), registering it on first use.
+// Call it when attaching the observer, not per span. A disabled observer
+// returns 0, which its Begin ignores.
+func (o *Observer) Kind(name, cat string) SpanKind {
 	if o == nil {
 		return 0
 	}
-	n := len(o.spans)
-	if n == 0 || len(o.spans[n-1]) == spanBlock {
-		o.spans = append(o.spans, make([]Span, 0, spanBlock))
-		n++
+	for i, k := range o.kinds {
+		if k.name == name && k.cat == cat {
+			return SpanKind(i)
+		}
 	}
-	o.spans[n-1] = append(o.spans[n-1], Span{
-		Name: name, Cat: cat, Txn: txn,
-		Node: int32(node), Extra: int32(extra),
-		Parent: parent, Start: at, End: -1,
-	})
+	o.kinds = append(o.kinds, spanKind{name: name, cat: cat})
+	return SpanKind(len(o.kinds) - 1)
+}
+
+// Lifecycle holds the span kinds both backends record: a transaction's
+// lifecycle phases (category "txn") and its cohorts' residency at the
+// data-processing nodes (category "io").
+type Lifecycle struct {
+	Txn, AdmitWait, Execute, LockWait, Commit, Cohort SpanKind
+}
+
+// LifecycleKinds registers (or finds) the lifecycle span kinds.
+func (o *Observer) LifecycleKinds() Lifecycle {
+	return Lifecycle{
+		Txn:       o.Kind("txn", "txn"),
+		AdmitWait: o.Kind("admit-wait", "txn"),
+		Execute:   o.Kind("execute", "txn"),
+		LockWait:  o.Kind("lock-wait", "txn"),
+		Commit:    o.Kind("commit", "txn"),
+		Cohort:    o.Kind("cohort", "io"),
+	}
+}
+
+// Begin opens a span of a registered kind at virtual time at and returns
+// its id. node and extra may be -1; parent may be 0.
+func (o *Observer) Begin(kind SpanKind, txn int64, node, extra int, parent SpanID, at sim.Time) SpanID {
+	if o == nil {
+		return 0
+	}
+	if o.nspans%spanBlock == 0 {
+		o.spans = append(o.spans, new([spanBlock]spanRec))
+	}
+	o.spans[o.nspans/spanBlock][o.nspans%spanBlock] = spanRec{
+		start: at, end: -1, txn: txn, parent: parent, kind: kind,
+		node: int32(node), extra: int32(extra),
+	}
 	o.nspans++
+	o.open++
 	return SpanID(o.nspans)
+}
+
+// rec returns record i (SpanID i+1).
+func (o *Observer) rec(i int) *spanRec { return &o.spans[i/spanBlock][i%spanBlock] }
+
+// view builds the exported Span of a record.
+func (o *Observer) view(r *spanRec) Span {
+	k := o.kinds[r.kind]
+	return Span{
+		Name: k.name, Cat: k.cat, Txn: r.txn, Node: r.node, Extra: r.extra,
+		Parent: r.parent, Start: r.start, End: r.end,
+	}
 }
 
 // End closes an open span at time at. Ending the zero span, or a span
@@ -137,14 +207,14 @@ func (o *Observer) End(id SpanID, at sim.Time) {
 	if o == nil || id == 0 {
 		return
 	}
-	i := int(id - 1)
-	sp := &o.spans[i/spanBlock][i%spanBlock]
-	if sp.End < 0 {
-		if at < sp.Start {
-			at = sp.Start
+	sp := o.rec(int(id - 1))
+	if sp.end < 0 {
+		if at < sp.start {
+			at = sp.start
 			o.clampedSpanEnds.Add(1)
 		}
-		sp.End = at
+		sp.end = at
+		o.open--
 	}
 }
 
@@ -160,15 +230,15 @@ func (o *Observer) ClockClamps() (spanEnds, samples int64) {
 	return o.clampedSpanEnds.Load(), o.clampedSamples.Load()
 }
 
-// Spans returns a copy of the recorded spans in creation order (nil when
-// nothing was recorded).
+// Spans returns the recorded spans in creation order (nil when nothing was
+// recorded), built fresh from the store.
 func (o *Observer) Spans() []Span {
 	if o == nil || o.nspans == 0 {
 		return nil
 	}
-	out := make([]Span, 0, o.nspans)
-	for _, blk := range o.spans {
-		out = append(out, blk...)
+	out := make([]Span, o.nspans)
+	for i := range out {
+		out[i] = o.view(o.rec(i))
 	}
 	return out
 }
@@ -229,11 +299,12 @@ func (o *Observer) Finish(now sim.Time) {
 	if o == nil {
 		return
 	}
-	for _, blk := range o.spans {
-		for i := range blk {
-			if blk[i].End < 0 {
-				blk[i].End = now
-			}
+	// Spans still open at the horizon are mostly recent ones: scan
+	// backwards until all of them are closed.
+	for i := o.nspans - 1; o.open > 0; i-- {
+		if r := o.rec(i); r.end < 0 {
+			r.end = now
+			o.open--
 		}
 	}
 	if o.sampling && o.lastTick != now {
@@ -259,21 +330,41 @@ func (o *Observer) PhaseTotals(cat string) []PhaseTotal {
 		return nil
 	}
 	var out []PhaseTotal
-	idx := make(map[string]int)
-	for _, blk := range o.spans {
-		for _, sp := range blk {
-			if cat != "" && sp.Cat != cat {
-				continue
-			}
-			i, ok := idx[sp.Name]
-			if !ok {
-				i = len(out)
-				idx[sp.Name] = i
-				out = append(out, PhaseTotal{Name: sp.Name})
-			}
-			out[i].Total += sp.Duration()
-			out[i].Count++
+	// slot maps a kind to its row of out: kinds of one name in several
+	// categories share the row; -1 is not seen yet, -2 filtered out.
+	slot := make([]int, len(o.kinds))
+	for k := range slot {
+		slot[k] = -1
+	}
+	for i := 0; i < o.nspans; i++ {
+		r := o.rec(i)
+		if slot[r.kind] == -1 {
+			slot[r.kind] = o.phaseRow(&out, r.kind, cat)
 		}
+		j := slot[r.kind]
+		if j < 0 {
+			continue
+		}
+		if r.end >= r.start {
+			out[j].Total += r.end - r.start
+		}
+		out[j].Count++
 	}
 	return out
+}
+
+// phaseRow returns kind's row of the PhaseTotals table *out, appending a
+// row for a new name, or -2 when the kind is not of category cat.
+func (o *Observer) phaseRow(out *[]PhaseTotal, kind SpanKind, cat string) int {
+	k := o.kinds[kind]
+	if cat != "" && k.cat != cat {
+		return -2
+	}
+	for row, pt := range *out {
+		if pt.Name == k.name {
+			return row
+		}
+	}
+	*out = append(*out, PhaseTotal{Name: k.name})
+	return len(*out) - 1
 }

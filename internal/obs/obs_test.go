@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"batchsched/internal/sim"
@@ -15,7 +17,7 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if o.Enabled() {
 		t.Fatal("nil observer reports Enabled")
 	}
-	if id := o.Begin("x", "txn", 1, -1, -1, 0, 0); id != 0 {
+	if id := o.Begin(o.Kind("x", "txn"), 1, -1, -1, 0, 0); id != 0 {
 		t.Fatalf("nil Begin returned %d, want 0", id)
 	}
 	o.End(1, 0)
@@ -40,7 +42,7 @@ func TestNilObserverIsSafe(t *testing.T) {
 	}
 	var a *Audit
 	a.SetClock(nil)
-	a.Record(AuditEntry{})
+	a.Record(&AuditEntry{})
 	if a.Entries() != nil {
 		t.Fatal("nil audit holds entries")
 	}
@@ -48,8 +50,8 @@ func TestNilObserverIsSafe(t *testing.T) {
 
 func TestSpanLifecycle(t *testing.T) {
 	o := New()
-	root := o.Begin("txn", "txn", 7, -1, -1, 0, 10*sim.Millisecond)
-	child := o.Begin("execute", "txn", 7, -1, 0, root, 12*sim.Millisecond)
+	root := o.Begin(o.Kind("txn", "txn"), 7, -1, -1, 0, 10*sim.Millisecond)
+	child := o.Begin(o.Kind("execute", "txn"), 7, -1, 0, root, 12*sim.Millisecond)
 	o.End(child, 20*sim.Millisecond)
 	// Double-End must not move the end time.
 	o.End(child, 99*sim.Millisecond)
@@ -75,13 +77,13 @@ func TestSpanLifecycle(t *testing.T) {
 
 func TestPhaseTotals(t *testing.T) {
 	o := New()
-	a := o.Begin("execute", "txn", 1, -1, 0, 0, 0)
+	a := o.Begin(o.Kind("execute", "txn"), 1, -1, 0, 0, 0)
 	o.End(a, 10*sim.Millisecond)
-	b := o.Begin("lock-wait", "txn", 1, -1, -1, 0, 10*sim.Millisecond)
+	b := o.Begin(o.Kind("lock-wait", "txn"), 1, -1, -1, 0, 10*sim.Millisecond)
 	o.End(b, 15*sim.Millisecond)
-	c := o.Begin("execute", "txn", 2, -1, 0, 0, 0)
+	c := o.Begin(o.Kind("execute", "txn"), 2, -1, 0, 0, 0)
 	o.End(c, 30*sim.Millisecond)
-	io := o.Begin("cohort", "io", 1, 3, 0, 0, 0)
+	io := o.Begin(o.Kind("cohort", "io"), 1, 3, 0, 0, 0)
 	o.End(io, 5*sim.Millisecond)
 
 	got := o.PhaseTotals("txn")
@@ -94,6 +96,21 @@ func TestPhaseTotals(t *testing.T) {
 	}
 	if all := o.PhaseTotals(""); len(all) != 3 {
 		t.Errorf("PhaseTotals(\"\") has %d phases, want 3", len(all))
+	}
+}
+
+// TestHistogramBucketsMatchBinarySearch: Observe's linear bucket scan
+// picks the bucket sort.SearchFloat64s picks, infinities and NaN included.
+func TestHistogramBucketsMatchBinarySearch(t *testing.T) {
+	bounds := []float64{0, 0.5, 1, 2, 5, 10, 60_000}
+	vals := []float64{math.Inf(-1), -3, 0, 0.25, 0.5, 0.75, 1, 3, 10, 11, 60_000, 1e12, math.Inf(1), math.NaN()}
+	for _, v := range vals {
+		h := New().Histogram("h", bounds)
+		h.Observe(v)
+		want := sort.SearchFloat64s(bounds, v)
+		if h.Counts()[want] != 1 {
+			t.Errorf("Observe(%v) counted in %v, want bucket %d", v, h.Counts(), want)
+		}
 	}
 }
 
@@ -188,8 +205,8 @@ func TestSampling(t *testing.T) {
 }
 
 // TestSampleRowsAllocs pins the sampled-row store: a tick allocates
-// nothing while the current slab has room, and a slab refill allocates at
-// most twice (the slab, and now and then the row index's growth).
+// nothing while the current block has room, and a block refill allocates at
+// most twice (the block, and now and then the block list's growth).
 func TestSampleRowsAllocs(t *testing.T) {
 	o := New()
 	o.Counter("events").Inc()
@@ -230,7 +247,7 @@ func TestClockClamps(t *testing.T) {
 	o := New()
 	o.SetSampleInterval(sim.Second)
 
-	id := o.Begin("txn", "txn", 1, -1, -1, 0, 10*sim.Millisecond)
+	id := o.Begin(o.Kind("txn", "txn"), 1, -1, -1, 0, 10*sim.Millisecond)
 	o.End(id, 5*sim.Millisecond) // wall clock ran backwards: clamp to start
 	spanEnds, samples := o.ClockClamps()
 	if spanEnds != 1 || samples != 0 {
@@ -248,7 +265,7 @@ func TestClockClamps(t *testing.T) {
 	}
 
 	// Forward motion never counts.
-	id2 := o.Begin("txn", "txn", 2, -1, -1, 0, 3*sim.Second)
+	id2 := o.Begin(o.Kind("txn", "txn"), 2, -1, -1, 0, 3*sim.Second)
 	o.End(id2, 4*sim.Second)
 	o.SampleNow(5 * sim.Second)
 	if se, sa := o.ClockClamps(); se != 1 || sa != 1 {
@@ -266,8 +283,9 @@ func TestClockClamps(t *testing.T) {
 func TestSpansAcrossBlocks(t *testing.T) {
 	o := New()
 	n := 2*spanBlock + spanBlock/2
+	k := o.Kind("s", "txn")
 	for i := 0; i < n; i++ {
-		id := o.Begin("s", "txn", int64(i+1), -1, -1, 0, sim.Time(i))
+		id := o.Begin(k, int64(i+1), -1, -1, 0, sim.Time(i))
 		if int(id) != i+1 {
 			t.Fatalf("span %d got id %d", i, id)
 		}
@@ -304,9 +322,10 @@ func TestSpansAcrossBlocks(t *testing.T) {
 // costs at most one allocation per spanBlock spans.
 func TestBeginAllocsPerBlock(t *testing.T) {
 	o := New()
+	k := o.Kind("execute", "txn")
 	a := testing.AllocsPerRun(50, func() {
 		for i := 0; i < spanBlock; i++ {
-			o.Begin("execute", "txn", 1, -1, 0, 0, 0)
+			o.Begin(k, 1, -1, 0, 0, 0)
 		}
 	})
 	if a > 1 {
@@ -317,12 +336,31 @@ func TestBeginAllocsPerBlock(t *testing.T) {
 // BenchmarkObsBegin measures recording one span. A fresh observer every
 // 64 blocks keeps the benchmark's memory bounded at large b.N.
 func BenchmarkObsBegin(b *testing.B) {
-	o := New()
+	var o *Observer
+	var k SpanKind
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i%(64*spanBlock) == 0 {
 			o = New()
+			k = o.Kind("execute", "txn")
 		}
-		o.Begin("execute", "txn", int64(i), -1, 0, 0, sim.Time(i))
+		o.Begin(k, int64(i), -1, 0, 0, sim.Time(i))
+	}
+}
+
+// BenchmarkAuditRecord measures recording one decision with two candidates
+// and a note. A fresh audit every 64 blocks keeps memory bounded.
+func BenchmarkAuditRecord(b *testing.B) {
+	var a *Audit
+	cands, eps := []int64{3, 9}, []float64{1.5, 2.5}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%(64*auditBlock) == 0 {
+			a = new(Audit)
+		}
+		a.Record(&AuditEntry{
+			Scheduler: "LOW", Txn: int64(i), File: 3, Mode: "X", Decision: "delay",
+			Candidates: cands, EQ: 2, EPs: eps, Note: "E(q) > E(p)",
+		})
 	}
 }

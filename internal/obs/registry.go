@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"slices"
-	"sort"
-
-	"batchsched/internal/sim"
-)
+import "batchsched/internal/sim"
 
 // Counter is a monotonically increasing metric. The nil Counter (what a
 // disabled observer hands out) absorbs updates for free.
@@ -54,7 +49,13 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.n++
 	h.sum += v
-	h.counts[sort.SearchFloat64s(h.bounds, v)]++
+	// The first bound >= v, as sort.SearchFloat64s finds it (NaN lands in
+	// the overflow bucket); a linear scan, since bound lists are short.
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
+	h.counts[i]++
 }
 
 // Bounds returns the bucket upper bounds.
@@ -111,18 +112,18 @@ type registry struct {
 	gauges   []gaugeEntry
 	ncols    int // gauge columns: the names of every entry
 	hists    []*Histogram
-	// samples rows are [t_ms, counters..., gauges...] in registration
-	// order; registration is frozen by the first sample.
-	samples [][]float64
-	// slab is the unused tail of the block the next rows are carved from.
-	// Refilling it also reserves samples room for the block's rows, so a
-	// tick allocates nothing and a refill at most twice (the slab, and now
-	// and then the row index's amortized growth).
-	slab []float64
+	// Sampled rows are [t_ms, counters..., gauges...] in registration
+	// order, width floats each; registration is frozen by the first
+	// sample. Row i is in blocks[i/sampleBlock]: the store is pointer-free
+	// float blocks, so a tick allocates nothing, a block refill once, and
+	// no row index is kept (Samples builds one).
+	width  int
+	nrows  int
+	blocks [][]float64
 }
 
-// sampleBlock is the number of sample rows one slab allocation holds.
-const sampleBlock = 32
+// sampleBlock is the number of sample rows one block holds.
+const sampleBlock = 64
 
 // Counter returns the named counter, creating it on first use. Disabled
 // observers return nil, which absorbs updates.
@@ -217,12 +218,23 @@ func (o *Observer) SampleHeader() []string {
 }
 
 // Samples returns the sampled rows, one per tick, columns as in
-// SampleHeader.
+// SampleHeader (nil before the first sample). The rows share the store's
+// memory and must not be modified.
 func (o *Observer) Samples() [][]float64 {
-	if o == nil {
+	if o == nil || o.reg.nrows == 0 {
 		return nil
 	}
-	return o.reg.samples
+	out := make([][]float64, o.reg.nrows)
+	for i := range out {
+		out[i] = o.reg.row(i)
+	}
+	return out
+}
+
+// row returns sampled row i.
+func (r *registry) row(i int) []float64 {
+	off := i % sampleBlock * r.width
+	return r.blocks[i/sampleBlock][off : off+r.width : off+r.width]
 }
 
 // TimeSeries extracts one sampled column by name, returning the tick times
@@ -241,7 +253,8 @@ func (o *Observer) TimeSeries(name string) (ts, vs []float64) {
 	if col < 0 {
 		return nil, nil
 	}
-	for _, row := range o.reg.samples {
+	for i := 0; i < o.reg.nrows; i++ {
+		row := o.reg.row(i)
 		ts = append(ts, row[0])
 		vs = append(vs, row[col])
 	}
@@ -249,20 +262,24 @@ func (o *Observer) TimeSeries(name string) (ts, vs []float64) {
 }
 
 func (r *registry) sample(now sim.Time) {
-	w := 1 + len(r.counters) + r.ncols
-	if len(r.slab) < w {
-		r.slab = make([]float64, w*sampleBlock)
-		r.samples = slices.Grow(r.samples, sampleBlock)
+	if w := 1 + len(r.counters) + r.ncols; r.nrows == 0 {
+		r.width = w
+	} else if w != r.width {
+		panic("obs: instrument registered after sampling began")
 	}
-	row := r.slab[:0:w]
-	r.slab = r.slab[w:]
-	row = append(row, now.Milliseconds())
+	if r.nrows%sampleBlock == 0 {
+		r.blocks = append(r.blocks, make([]float64, sampleBlock*r.width))
+	}
+	row := r.row(r.nrows)
+	r.nrows++
+	row[0] = now.Milliseconds()
+	i := 1
 	for _, c := range r.counters {
-		row = append(row, c.v)
+		row[i] = c.v
+		i++
 	}
 	for _, g := range r.gauges {
-		row = row[:len(row)+len(g.names)]
-		g.fill(row[len(row)-len(g.names):])
+		g.fill(row[i : i+len(g.names)])
+		i += len(g.names)
 	}
-	r.samples = append(r.samples, row)
 }

@@ -24,9 +24,11 @@ type gow struct {
 	plan  wtpg.Plan // reused across requests (Phase 2 scratch)
 
 	// audit, when set, records every lock-request decision; lastCP is the
-	// critical path |W| of the previous audited plan (for the delta).
-	audit  *obs.Audit
-	lastCP float64
+	// critical path |W| of the previous audited plan (for the delta), and
+	// auditCands the entry's candidate scratch (Record copies it).
+	audit      *obs.Audit
+	lastCP     float64
+	auditCands []int64
 
 	// Parallel decision engine (parallel.go): the injected pool lane fans
 	// Phase 2's per-component chain optimization out; screen caches
@@ -67,15 +69,17 @@ func (s *gow) record(t *model.Txn, d Decision, pairs [][2]int64, cp float64, hav
 		File: int(st.File), Mode: st.LockMode.String(),
 		Decision: d.String(), Note: note,
 	}
+	s.auditCands = s.auditCands[:0]
 	for _, pr := range pairs {
-		e.Candidates = append(e.Candidates, pr[1])
+		s.auditCands = append(s.auditCands, pr[1])
 	}
+	e.Candidates = s.auditCands
 	if haveCP {
 		e.EQ = cp
 		e.CPDelta = cp - s.lastCP
 		s.lastCP = cp
 	}
-	s.audit.Record(e)
+	s.audit.Record(&e)
 }
 
 // Admit is Phase 0: the chain-form test (cost: toptime). A transaction that

@@ -26,8 +26,11 @@ type low struct {
 	name  string
 
 	// audit, when set, records every lock-request decision with C(q) and
-	// the E(q)/E(p) estimates the grant test compared.
-	audit *obs.Audit
+	// the E(q)/E(p) estimates the grant test compared; auditCands and
+	// auditEPs are the entry's scratch (Record copies them).
+	audit      *obs.Audit
+	auditCands []int64
+	auditEPs   []float64
 
 	// Parallel decision engine (parallel.go): the injected pool lane,
 	// per-worker overlay arenas, the per-decision frozen base, and the job
@@ -130,7 +133,14 @@ func (s *low) record(t *model.Txn, d Decision, cands []int64, eq float64, haveEQ
 			e.Note = "deadlock: E(q)=+Inf"
 		}
 	}
-	s.audit.Record(e)
+	s.audit.Record(&e)
+	// Keep the scratch the caller grew for the next decision.
+	if cap(cands) > cap(s.auditCands) {
+		s.auditCands = cands[:0]
+	}
+	if cap(eps) > cap(s.auditEPs) {
+		s.auditEPs = eps[:0]
+	}
 }
 
 // Admit starts t only when doing so keeps every conflicting-declaration set
@@ -260,8 +270,7 @@ func (s *low) Request(t *model.Txn) Outcome {
 	}
 	// Phase 3: q wins only if E(q) <= E(p) for every conflicting
 	// declaration p in C(q). Each E(p) costs another kwtpgtime.
-	var cands []int64
-	var eps []float64
+	cands, eps := s.auditCands[:0], s.auditEPs[:0]
 	s.confs = conflictersOn(s.confs[:0], s.graph, t, st.File, st.LockMode)
 	for _, u := range s.confs {
 		cpu += s.p.KWTPGTime
@@ -325,8 +334,7 @@ func (s *low) requestParallel(t *model.Txn, st model.Step) Outcome {
 		s.record(t, Delay, nil, eq, true, nil, "")
 		return Outcome{Decision: Delay, CPU: cpu}
 	}
-	var cands []int64
-	var eps []float64
+	cands, eps := s.auditCands[:0], s.auditEPs[:0]
 	for i, u := range s.confs {
 		cpu += s.p.KWTPGTime
 		ep := s.evalRes[i+1]
